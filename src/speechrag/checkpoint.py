@@ -3,7 +3,8 @@
 Layout: magic ``SRAGCKPT`` | version u32 | metadata length u32 | metadata
 JSON (UTF-8; vocab table, backbone seed and dims, feature and train config,
 best val loss, epoch) | tensor count u32 | per tensor: name length u32 |
-name UTF-8 | rank u32 | dims u64 each | f32 little-endian data.
+name UTF-8 | rank u32 | dims u64 each | f32 little-endian data. Nothing
+follows the last tensor; a load rejects trailing bytes.
 
 Only trainable tensors are stored; the frozen backbone is regenerated
 bit-exactly from its seed and dims. All integers are little-endian. A
@@ -100,6 +101,8 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = dict(_read_tensor(fh) for _ in range(n_tensors))
+        if fh.read(1):
+            raise ValueError(f"corrupt checkpoint (trailing bytes): {path}")
 
     vocab = Vocab(tokens=tuple(meta["vocab"]))
     bb = meta["backbone"]

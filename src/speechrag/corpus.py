@@ -15,7 +15,8 @@ threads read-only.
 from __future__ import annotations
 
 import json
-import wave
+import os
+import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +27,10 @@ from .dsp import AudioSignal, read_wav, write_wav
 
 SYNTH_SAMPLE_RATE = 16000
 WORD_SECONDS = 0.1
+# A manifest load reads this much of each WAV file at once: the whole header
+# of a file that write_wav made, with room for a few small extra chunks.
+_WAV_HEAD_BYTES = 256
+_WAVE_FORMAT_PCM = 0x0001
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -130,6 +135,7 @@ def load_manifest(path) -> Corpus:
     queries: list[Query] = []
     sample_rate: int | None = None
     seen_ids: set[str] = set()
+    base_dir = str(path.parent)
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -143,7 +149,7 @@ def load_manifest(path) -> Corpus:
                 raise ManifestError(f"line {lineno}: record has no 'kind' field")
             kind = record["kind"]
             if kind == "passage":
-                passage, rate = _parse_passage(record, lineno, path.parent)
+                passage, rate = _parse_passage(record, lineno, base_dir)
                 if passage.id in seen_ids:
                     raise ManifestError(f"line {lineno}: duplicate passage id {passage.id!r}")
                 seen_ids.add(passage.id)
@@ -163,28 +169,30 @@ def load_manifest(path) -> Corpus:
         passages=tuple(passages),
         queries=tuple(queries),
         sample_rate=sample_rate if sample_rate is not None else SYNTH_SAMPLE_RATE,
-        base_dir=str(path.parent),
+        base_dir=base_dir,
     )
     validate_corpus(corpus)
     return corpus
 
 
-def _parse_passage(record: dict, lineno: int, base_dir: Path) -> tuple[Passage, int]:
+def _parse_passage(record: dict, lineno: int, base_dir: str) -> tuple[Passage, int]:
     for field in ("id", "audio", "transcript"):
         if field not in record:
             raise ManifestError(f"line {lineno}: passage record missing {field!r}")
     if not record["transcript"]:
         raise ManifestError(f"line {lineno}: passage {record['id']!r} has empty transcript")
-    wav_path = base_dir / record["audio"]
-    if not wav_path.exists():
-        raise ManifestError(f"line {lineno}: audio file not found: {wav_path}")
     # Header-only read: samples stay lazy, but rate and duration are checked now.
     try:
-        with wave.open(str(wav_path), "rb") as fh:
-            rate = fh.getframerate()
-            n_frames = fh.getnframes()
-    except wave.Error as exc:
-        raise ManifestError(f"line {lineno}: unreadable WAV {wav_path}: {exc}") from exc
+        with open(os.path.join(base_dir, record["audio"]), "rb", buffering=0) as fh:
+            rate, n_frames = _wav_header(fh)
+    except (FileNotFoundError, NotADirectoryError):
+        raise ManifestError(
+            f"line {lineno}: audio file not found: {Path(base_dir) / record['audio']}"
+        ) from None
+    except ValueError as exc:
+        raise ManifestError(
+            f"line {lineno}: unreadable WAV {Path(base_dir) / record['audio']}: {exc}"
+        ) from exc
     if n_frames == 0:
         raise ManifestError(f"line {lineno}: passage {record['id']!r} has zero-duration audio")
     passage = Passage(
@@ -193,6 +201,63 @@ def _parse_passage(record: dict, lineno: int, base_dir: Path) -> tuple[Passage, 
         audio_path=str(record["audio"]),
     )
     return passage, rate
+
+
+def _wav_header(fh) -> tuple[int, int]:
+    """(sample rate, frame count) of an open WAV file, read from its header.
+
+    Walks the RIFF chunks with the checks wave.open makes: RIFF/WAVE magic,
+    a PCM fmt chunk with nonzero sample width and channel count before the
+    data chunk, unknown chunks skipped with their odd-size padding byte, and
+    chunks bounded by the RIFF size. Frames are the data chunk size over the
+    frame size; the samples themselves are not read. Raises ValueError on
+    any malformed or short header.
+    """
+    head = fh.read(_WAV_HEAD_BYTES)
+
+    def read_at(offset: int, n: int) -> bytes:
+        if offset + n <= len(head):
+            return head[offset : offset + n]
+        fh.seek(offset)
+        return fh.read(n)
+
+    if len(head) < 12:
+        raise ValueError(f"truncated header ({len(head)} bytes)")
+    if head[:4] != b"RIFF":
+        raise ValueError("file does not start with RIFF id")
+    (riff_size,) = struct.unpack_from("<I", head, 4)
+    riff_end = 8 + riff_size
+    if riff_size < 4 or head[8:12] != b"WAVE":
+        raise ValueError("not a WAVE file")
+    rate = frame_size = None
+    pos = 12
+    while pos + 8 <= riff_end:
+        chunk = read_at(pos, 8)
+        if len(chunk) < 8:
+            break
+        name, (size,) = chunk[:4], struct.unpack_from("<I", chunk, 4)
+        body = pos + 8
+        if name == b"fmt ":
+            fmt = read_at(body, min(16, size, riff_end - body))
+            if len(fmt) < 14:
+                raise ValueError("truncated fmt chunk")
+            tag, channels, rate = struct.unpack_from("<HHI", fmt)
+            if tag != _WAVE_FORMAT_PCM:
+                raise ValueError(f"unknown format: {tag!r}")
+            if len(fmt) < 16:
+                raise ValueError("truncated fmt chunk")
+            sample_width = (struct.unpack_from("<H", fmt, 14)[0] + 7) // 8
+            if not sample_width:
+                raise ValueError("bad sample width")
+            if not channels:
+                raise ValueError("bad # of channels")
+            frame_size = channels * sample_width
+        elif name == b"data":
+            if frame_size is None:
+                raise ValueError("data chunk before fmt chunk")
+            return rate, size // frame_size
+        pos = body + size + (size & 1)
+    raise ValueError("fmt chunk and/or data chunk missing")
 
 
 def _parse_query(record: dict, lineno: int) -> Query:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,6 +145,17 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
+@lru_cache(maxsize=8)
+def _frontend(frame: int, n_mels: int, fft_size: int, sample_rate: int):
+    """The Hann window and mel filterbank of one feature shape, built once
+    and shared read-only by every logmel call with that shape."""
+    window = np.hanning(frame)
+    bank = mel_filterbank(n_mels, fft_size, sample_rate)
+    window.flags.writeable = False
+    bank.flags.writeable = False
+    return window, bank
+
+
 def logmel(signal: AudioSignal, cfg: FeatureConfig | None = None) -> FeatureMatrix:
     """Per frame: Hann window -> power spectrum -> triangular mel filterbank
     -> natural log of (energy + log_floor).
@@ -164,13 +176,11 @@ def logmel(signal: AudioSignal, cfg: FeatureConfig | None = None) -> FeatureMatr
         )
     if cfg.fft_size < frame:
         raise ValueError(f"fft_size {cfg.fft_size} smaller than frame of {frame} samples")
-    n_frames = (signal.samples.size - frame) // hop + 1
-    offsets = np.arange(n_frames) * hop
-    frames = signal.samples[offsets[:, None] + np.arange(frame)[None, :]]
-    window = np.hanning(frame)
+    # Every hop-th window: floor((len - frame) / hop) + 1 frames.
+    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, frame)[::hop]
+    window, bank = _frontend(frame, cfg.n_mels, cfg.fft_size, sr)
     spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
     power = np.abs(spectrum) ** 2
-    bank = mel_filterbank(cfg.n_mels, cfg.fft_size, sr)
     energies = power @ bank.T
     return FeatureMatrix(np.log(energies + cfg.log_floor), cfg.hop)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,23 @@ class Index:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    # Search state derived once per index; like the index, never mutated.
+    @cached_property
+    def _matrix64(self) -> np.ndarray:
+        """The rows in float64, the precision every search scores in."""
+        matrix = self.matrix.astype(np.float64)
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
+    def _id_rank(self) -> np.ndarray:
+        """Each row's position when ids are sorted ascending; equal ids
+        keep row order, as a stable sort on the ids would."""
+        rank = np.empty(len(self.ids), dtype=np.intp)
+        rank[np.argsort(np.array(self.ids), kind="stable")] = np.arange(len(self.ids))
+        rank.flags.writeable = False
+        return rank
 
 
 @dataclass(frozen=True)
@@ -93,9 +111,19 @@ def search(index: Index, query: np.ndarray, k: int) -> SearchResult:
     norm = np.linalg.norm(query)
     if norm == 0.0:
         raise ValueError("cannot search with a zero query vector")
-    scores = index.matrix.astype(np.float64) @ (query / norm)
+    scores = index._matrix64 @ (query / norm)
+    n = scores.size
+    if k < n:
+        # Every row scoring at least the k-th best is a candidate, so all
+        # rows tied at the boundary reach the tie-break. NaN fails `<` and
+        # stays in, as a full sort would place it too.
+        kth = np.partition(scores, n - k)[n - k]
+        candidates = np.flatnonzero(~(scores < kth))
+    else:
+        candidates = np.arange(n)
     # lexsort: primary key last. Ascending id breaks exact-score ties.
-    order = np.lexsort((np.array(index.ids), -scores))[: min(k, len(index.ids))]
+    keys = (index._id_rank[candidates], -scores[candidates])
+    order = candidates[np.lexsort(keys)][:k]
     return SearchResult(
         ranking=tuple((index.ids[i], float(scores[i])) for i in order)
     )

@@ -60,5 +60,13 @@ def test_truncated_file_rejected(checkpoint, tmp_path):
         load_checkpoint(path)
 
 
+def test_trailing_bytes_rejected(checkpoint, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, path)
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_checkpoint(path)
+
+
 def test_magic_constant():
     assert MAGIC == b"SRAGCKPT"

@@ -55,6 +55,15 @@ def test_synth_split_train_flow(workspace, capsys):
     assert set(row) == {"epoch", "train_loss", "val_loss", "elapsed_s"}
 
 
+def test_zero_byte_wav_in_manifest_is_exit_two(workspace, capsys):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    wav = sorted((root / "corpus/audio").glob("*.wav"))[3]
+    wav.write_bytes(b"")
+    assert run("split", "--config", config) == 2
+    assert "unreadable WAV" in capsys.readouterr().err
+
+
 def test_synth_deterministic_bytes(workspace):
     root, config = workspace
     assert run("synth", "--config", config) == 0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import struct
+import wave
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from speechrag.corpus import (
     Passage,
     Query,
     SynthParams,
+    _wav_header,
     corpus_equal,
     corpus_words,
     load_manifest,
@@ -105,6 +108,117 @@ def test_malformed_line_reports_line_number(tmp_path):
     )
     with pytest.raises(ManifestError, match="line 2"):
         load_manifest(path)
+
+
+def test_missing_audio_file_rejected(tmp_path):
+    path = write_manifest(
+        tmp_path, [{"kind": "passage", "id": "p1", "audio": "audio/none.wav", "transcript": "x"}]
+    )
+    with pytest.raises(ManifestError, match="line 1: audio file not found: .*none.wav"):
+        load_manifest(path)
+
+
+# ---------------------------------------------------------------------------
+# WAV header reading: the manifest's own RIFF walk against wave.open
+# ---------------------------------------------------------------------------
+
+
+def riff_chunk(name: bytes, payload: bytes) -> bytes:
+    pad = b"\0" if len(payload) % 2 else b""
+    return name + struct.pack("<I", len(payload)) + payload + pad
+
+
+def fmt_chunk(tag=1, channels=1, rate=SR, bits=16, extra=b"") -> bytes:
+    block = channels * ((bits + 7) // 8)
+    payload = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+    return riff_chunk(b"fmt ", payload + extra)
+
+
+def riff_file(*chunks: bytes, form: bytes = b"WAVE") -> bytes:
+    body = form + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+PCM = bytes(range(256)) * 4
+
+WAV_VARIANTS = {
+    "list_before_data": riff_file(
+        fmt_chunk(), riff_chunk(b"LIST", b"INFOISFT" + struct.pack("<I", 6) + b"tool\0\0"),
+        riff_chunk(b"data", PCM),
+    ),
+    "odd_chunk_with_padding": riff_file(
+        fmt_chunk(), riff_chunk(b"junk", b"abc"), riff_chunk(b"data", PCM)
+    ),
+    "data_beyond_first_read": riff_file(
+        fmt_chunk(), riff_chunk(b"LIST", bytes(1001)), riff_chunk(b"data", PCM)
+    ),
+    "fmt_with_extension": riff_file(fmt_chunk(extra=b"\0\0"), riff_chunk(b"data", PCM)),
+    "stereo_8bit_8khz": riff_file(
+        fmt_chunk(channels=2, rate=8000, bits=8), riff_chunk(b"data", PCM[:301])
+    ),
+    "trailing_chunk_after_data": riff_file(
+        fmt_chunk(), riff_chunk(b"data", PCM), riff_chunk(b"LIST", b"x" * 10)
+    ),
+}
+
+BAD_WAVS = {
+    "non_pcm_tag": riff_file(fmt_chunk(tag=3, bits=32), riff_chunk(b"data", PCM)),
+    "data_before_fmt": riff_file(riff_chunk(b"data", PCM), fmt_chunk()),
+    "no_data_chunk": riff_file(fmt_chunk(), riff_chunk(b"LIST", b"abcd")),
+    "bad_riff_magic": b"RIFX" + riff_file(fmt_chunk(), riff_chunk(b"data", PCM))[4:],
+    "bad_wave_magic": riff_file(fmt_chunk(), riff_chunk(b"data", PCM), form=b"AVI "),
+    "zero_channels": riff_file(fmt_chunk(channels=0), riff_chunk(b"data", PCM)),
+    "zero_sample_width": riff_file(fmt_chunk(bits=0), riff_chunk(b"data", PCM)),
+    "zero_bytes": b"",
+    "truncated_riff_header": b"RIFF\x10\0",
+    "truncated_fmt": riff_file(fmt_chunk(), riff_chunk(b"data", PCM))[:30],
+    # The LIST chunk's size field claims 10**6 bytes, past the RIFF size.
+    "chunk_past_riff_size": (
+        lambda f: f[:40] + struct.pack("<I", 10**6) + f[44:]
+    )(riff_file(fmt_chunk(), riff_chunk(b"LIST", b"abcd"), riff_chunk(b"data", PCM))),
+}
+
+
+def header_via_wave(path) -> tuple[int, int]:
+    with wave.open(str(path), "rb") as fh:
+        return fh.getframerate(), fh.getnframes()
+
+
+def header_via_walk(path) -> tuple[int, int]:
+    with open(path, "rb", buffering=0) as fh:
+        return _wav_header(fh)
+
+
+@pytest.mark.parametrize("seconds, sr", [(0.2, SR), (0.0625, 8000), (1.37, 22050)])
+def test_wav_header_matches_wave_on_written_files(tmp_path, seconds, sr):
+    path = tmp_path / make_wav(tmp_path, "a.wav", seconds=seconds, sr=sr)
+    assert header_via_walk(path) == header_via_wave(path) == (sr, int(seconds * sr))
+
+
+@pytest.mark.parametrize("name", sorted(WAV_VARIANTS))
+def test_wav_header_matches_wave_on_hand_built_files(tmp_path, name):
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(WAV_VARIANTS[name])
+    assert header_via_walk(path) == header_via_wave(path)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_WAVS))
+def test_malformed_wav_rejected_with_line_number(tmp_path, name):
+    good = make_wav(tmp_path, "good.wav")
+    (tmp_path / "audio" / "bad.wav").write_bytes(BAD_WAVS[name])
+    path = write_manifest(
+        tmp_path,
+        [
+            {"kind": "passage", "id": "p1", "audio": good, "transcript": "x"},
+            {"kind": "passage", "id": "p2", "audio": "audio/bad.wav", "transcript": "y"},
+        ],
+    )
+    with pytest.raises(ManifestError, match="line 2: unreadable WAV .*bad.wav"):
+        load_manifest(path)
+    # wave.open rejects every one of them too, some with a bare EOFError or,
+    # for a chunk past the RIFF size, a RuntimeError.
+    with pytest.raises((wave.Error, EOFError, RuntimeError)):
+        header_via_wave(tmp_path / "audio" / "bad.wav")
 
 
 def test_duplicate_passage_id_rejected(tmp_path):

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from speechrag.dsp import (
     AudioSignal,
     FeatureConfig,
+    _frontend,
     add_noise_snr,
     hz_to_mel,
     logmel,
     measure_snr,
     mel_center_frequencies,
+    mel_filterbank,
     read_wav,
     write_wav,
 )
@@ -140,6 +142,50 @@ def test_scale_covariance_adds_two_log_c():
     assert mask.any()
     diffs = (hi - lo)[mask]
     assert np.max(np.abs(diffs - 2.0 * math.log(c))) < 1e-6
+
+
+def reference_logmel(signal: AudioSignal, cfg: FeatureConfig) -> np.ndarray:
+    """logmel with nothing cached: frames gathered by index, window and
+    filterbank built for this call."""
+    sr = signal.sample_rate
+    frame, hop = cfg.frame_samples(sr), cfg.hop_samples(sr)
+    n_frames = (signal.samples.size - frame) // hop + 1
+    offsets = np.arange(n_frames) * hop
+    frames = signal.samples[offsets[:, None] + np.arange(frame)[None, :]]
+    spectrum = np.fft.rfft(frames * np.hanning(frame), n=cfg.fft_size, axis=1)
+    power = np.abs(spectrum) ** 2
+    energies = power @ mel_filterbank(cfg.n_mels, cfg.fft_size, sr).T
+    return np.log(energies + cfg.log_floor)
+
+
+def test_logmel_equals_uncached_reference_bit_for_bit():
+    configs = (FeatureConfig(), FeatureConfig(frame_len=0.032, hop=0.010, n_mels=24, fft_size=1024))
+    rng = np.random.default_rng(0)
+    # Alternate shapes so each call finds another shape's arrays in the cache.
+    for _ in range(2):
+        for sr in (16000, 8000):
+            for cfg in configs:
+                signal = AudioSignal(0.3 * rng.normal(size=int(0.77 * sr)), sr)
+                assert np.array_equal(logmel(signal, cfg).data, reference_logmel(signal, cfg))
+
+
+def test_logmel_frames_a_strided_signal_like_a_contiguous_one():
+    samples = np.random.default_rng(1).normal(size=2 * SR) * 0.2
+    strided = AudioSignal(samples[::2], SR)
+    contiguous = AudioSignal(samples[::2].copy(), SR)
+    assert np.array_equal(logmel(strided).data, logmel(contiguous).data)
+
+
+def test_cached_window_and_filterbank_are_read_only():
+    cfg = FeatureConfig()
+    window, bank = _frontend(cfg.frame_samples(SR), cfg.n_mels, cfg.fft_size, SR)
+    assert np.array_equal(window, np.hanning(cfg.frame_samples(SR)))
+    assert np.array_equal(bank, mel_filterbank(cfg.n_mels, cfg.fft_size, SR))
+    for arr in (window, bank):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert _frontend(cfg.frame_samples(SR), cfg.n_mels, cfg.fft_size, SR)[1] is bank
 
 
 # ---------------------------------------------------------------------------

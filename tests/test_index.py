@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechrag.index import (
@@ -139,6 +139,60 @@ def test_search_equals_brute_force_property(n, k, seed):
     got = search(idx, query, k)
     expected = brute_force_ranking(pairs, query, k)
     assert got.ids == [pid for pid, _ in expected]
+
+
+def oracle_ranking(index: Index, query, k):
+    """Brute force over the index as stored: float64 scores, a full sort
+    by (-score, id), the first k kept."""
+    query = np.asarray(query, dtype=np.float64)
+    scores = index.matrix.astype(np.float64) @ (query / np.linalg.norm(query))
+    order = sorted(range(len(index.ids)), key=lambda i: (-scores[i], index.ids[i]))
+    return tuple((index.ids[i], float(scores[i])) for i in order[:k])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=45),
+    copies=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(n=1, k=1, copies=0, seed=0)
+@example(n=1, k=5, copies=1, seed=1)
+@example(n=6, k=6, copies=3, seed=2)
+@example(n=7, k=30, copies=4, seed=3)
+@example(n=12, k=4, copies=8, seed=4)
+def test_fast_topk_equals_oracle_with_boundary_ties(n, k, copies, seed):
+    rng = np.random.default_rng(seed)
+    matrix = build(random_pairs(n, 6, seed)).matrix.copy()
+    query = rng.normal(size=6)
+    # Copy the row ranked k-th over other rows, so exact ties straddle the
+    # boundary between the rows kept and the rows dropped.
+    kth_row = np.argsort(-(matrix.astype(np.float64) @ query), kind="stable")[min(k, n) - 1]
+    matrix[rng.choice(n, size=min(copies, n), replace=False)] = matrix[kth_row]
+    # An Index made directly need not hold its ids in sorted order.
+    index = Index(ids=tuple(f"p{i:03d}" for i in rng.permutation(n)), matrix=matrix)
+    assert search(index, query, k).ranking == oracle_ranking(index, query, k)
+
+
+def test_identical_rows_rank_by_id_across_the_boundary():
+    vec = np.array([0.6, 0.8], dtype=np.float32)
+    ids = ("m", "c", "x", "a", "q")
+    index = Index(ids=ids, matrix=np.tile(vec, (5, 1)))
+    assert search(index, vec, 2).ids == ["a", "c"]
+    assert search(index, vec, 9).ids == ["a", "c", "m", "q", "x"]
+
+
+def test_search_state_is_derived_once_and_read_only():
+    index = build(random_pairs(30, 8, seed=13))
+    query = np.ones(8)
+    first = search(index, query, 5)
+    matrix64, id_rank = index._matrix64, index._id_rank
+    assert search(index, query, 5) == first
+    assert index._matrix64 is matrix64 and index._id_rank is id_rank
+    assert np.array_equal(matrix64, index.matrix.astype(np.float64))
+    for arr in (matrix64, id_rank):
+        assert not arr.flags.writeable
 
 
 def test_scaling_inputs_leaves_rankings_and_scores():
