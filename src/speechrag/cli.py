@@ -43,7 +43,7 @@ from .ragpipe import (
     run_pipeline,
     wer,
 )
-from .training import build_model, grad_check, train
+from .training import _corpus_items, build_model, grad_check, train
 
 MODE_ALIASES = {
     "speech": PipelineMode.SPEECH_RAG,
@@ -127,15 +127,8 @@ def _corruption(config: RunConfig, corpus, target_wer: float | None = None) -> C
     )
 
 
-def _model_for(config: RunConfig, corpus, mode: PipelineMode):
-    """Speech modes need the trained checkpoint; text-only modes fall back to
-    a freshly built (frozen-backbone) model when no checkpoint exists yet."""
-    ckpt_path = config.path(config.checkpoint_path)
-    if ckpt_path.exists():
-        return load_checkpoint(ckpt_path).model
-    if mode in (PipelineMode.SPEECH_RAG, PipelineMode.SEMI_CASCADED):
-        raise FileNotFoundError(f"mode {mode.value} requires a trained checkpoint at {ckpt_path}")
-    vocab = Vocab.from_words(corpus_words(corpus))
+def _build_model(config: RunConfig, vocab: Vocab, seed: int, **overrides):
+    """A fresh model with the architecture and features the config names."""
     return build_model(
         vocab,
         hidden_dim=config.hidden_dim,
@@ -144,8 +137,29 @@ def _model_for(config: RunConfig, corpus, mode: PipelineMode):
         backbone_layers=config.backbone_layers,
         downsample_factor=config.downsample_factor,
         feature_config=config.feature,
-        seed=config.seed,
+        seed=seed,
+        **overrides,
     )
+
+
+def _model_for(config: RunConfig, corpus, mode: PipelineMode):
+    """Speech modes need the trained checkpoint; text-only modes fall back to
+    a freshly built (frozen-backbone) model when no checkpoint exists yet."""
+    ckpt_path = config.path(config.checkpoint_path)
+    if ckpt_path.exists():
+        return load_checkpoint(ckpt_path).model
+    if mode in (PipelineMode.SPEECH_RAG, PipelineMode.SEMI_CASCADED):
+        raise FileNotFoundError(f"mode {mode.value} requires a trained checkpoint at {ckpt_path}")
+    return _build_model(config, Vocab.from_words(corpus_words(corpus)), config.seed)
+
+
+def _mode_inputs(config: RunConfig, corpus, mode: PipelineMode, target_wer: float | None):
+    """The model a mode runs with, and its corruptor: only fully_cascaded
+    retrieves over corrupted transcripts, so every other mode gets None."""
+    model = _model_for(config, corpus, mode)
+    if mode is not PipelineMode.FULLY_CASCADED:
+        return model, None
+    return model, _corruption(config, corpus, target_wer)
 
 
 def _generator_for(config: RunConfig, corpus, url: str | None):
@@ -189,16 +203,7 @@ def cmd_train(config: RunConfig, args) -> int:
         if vocab_source
         else corpus_words(train_corpus) + corpus_words(val_corpus)
     )
-    model = build_model(
-        vocab,
-        hidden_dim=config.hidden_dim,
-        encoder_dim=config.encoder_dim,
-        encoder_layers=config.encoder_layers,
-        backbone_layers=config.backbone_layers,
-        downsample_factor=config.downsample_factor,
-        feature_config=config.feature,
-        seed=config.train.seed,
-    )
+    model = _build_model(config, vocab, config.train.seed)
     log_path = config.path(config.train_log_path)
     log_path.parent.mkdir(parents=True, exist_ok=True)
     result = train(train_corpus, val_corpus, config.train, model=model, log_path=log_path)
@@ -214,12 +219,7 @@ def cmd_train(config: RunConfig, args) -> int:
 def cmd_embed(config: RunConfig, args) -> int:
     mode = _parse_modes(args.mode)[0]
     corpus = load_manifest(config.path(args.manifest or config.corpus_manifest))
-    model = _model_for(config, corpus, mode)
-    corruption = (
-        _corruption(config, corpus, args.target_wer)
-        if mode is PipelineMode.FULLY_CASCADED
-        else None
-    )
+    model, corruption = _mode_inputs(config, corpus, mode, args.target_wer)
     pairs, _ = passage_embeddings(corpus, mode, model, corruption=corruption, snr_db=args.snr_db)
     out = config.path(config.embeddings_path, mode=mode.value)
     save_embeddings(out, [pid for pid, _ in pairs], np.stack([emb for _, emb in pairs]))
@@ -258,12 +258,7 @@ def cmd_eval_retrieval(config: RunConfig, args) -> int:
     header = ["mode", "passage_wer"] + [f"recall@{k}" for k in k_values]
     rows = []
     for mode in modes:
-        model = _model_for(config, corpus, mode)
-        corruption = (
-            _corruption(config, corpus, args.target_wer)
-            if mode is PipelineMode.FULLY_CASCADED
-            else None
-        )
+        model, corruption = _mode_inputs(config, corpus, mode, args.target_wer)
         report = retrieval_run(
             corpus, mode, model, k_values=k_values, corruption=corruption, snr_db=args.snr_db
         )
@@ -336,12 +331,7 @@ def cmd_corrupt(config: RunConfig, args) -> int:
 def cmd_eval_generation(config: RunConfig, args) -> int:
     corpus = load_manifest(config.path(args.manifest or config.corpus_manifest))
     mode = _parse_modes(args.mode)[0]
-    model = _model_for(config, corpus, mode)
-    corruption = (
-        _corruption(config, corpus, args.target_wer)
-        if mode is PipelineMode.FULLY_CASCADED
-        else None
-    )
+    model, corruption = _mode_inputs(config, corpus, mode, args.target_wer)
     generator = _generator_for(config, corpus, args.generator_url)
     traces = run_pipeline(
         corpus,
@@ -390,8 +380,6 @@ def cmd_eval_generation(config: RunConfig, args) -> int:
 
 def cmd_gradcheck(config: RunConfig, args) -> int:
     from .corpus import SynthParams
-    from .dsp import logmel
-    from .encoder import embed_text
 
     probe_corpus = synth_corpus(
         SynthParams(n_passages=4, vocabulary_size=24, seed=config.seed)
@@ -399,23 +387,8 @@ def cmd_gradcheck(config: RunConfig, args) -> int:
     vocab = Vocab.from_words(corpus_words(probe_corpus))
     # Probe at a healthy projection scale: the training init is nearly zero,
     # where finite differences measure curvature rather than gradient error.
-    model = build_model(
-        vocab,
-        hidden_dim=config.hidden_dim,
-        encoder_dim=config.encoder_dim,
-        encoder_layers=config.encoder_layers,
-        backbone_layers=config.backbone_layers,
-        downsample_factor=config.downsample_factor,
-        feature_config=config.feature,
-        seed=config.seed,
-        dtype=np.float64,
-        proj_std=0.1,
-    )
-    items = []
-    for p in probe_corpus.passages[:2]:
-        feats = logmel(probe_corpus.load_audio(p), model.feature_config).data
-        target = embed_text(p.transcript, model.vocab, model.backbone)
-        items.append((feats, target))
+    model = _build_model(config, vocab, config.seed, dtype=np.float64, proj_std=0.1)
+    items = _corpus_items(probe_corpus, model, np.float64)[:2]
     err = grad_check(model, items, probe_count=args.probes, eps=args.eps, seed=config.seed)
     _write_meta(config, "gradcheck")
     passed = err <= GRADCHECK_THRESHOLD

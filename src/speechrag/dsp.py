@@ -94,8 +94,10 @@ def read_wav(path) -> AudioSignal:
             sample_rate = fh.getframerate()
             n_frames = fh.getnframes()
             raw = fh.readframes(n_frames)
-    except wave.Error as exc:
-        raise ValueError(f"corrupt or unsupported WAV file {path}: {exc}") from exc
+    except (wave.Error, EOFError) as exc:
+        # A file cut inside its header ends wave's chunk reader with a bare EOFError.
+        reason = str(exc) or "truncated header"
+        raise ValueError(f"corrupt or unsupported WAV file {path}: {reason}") from exc
     if n_channels != 1:
         raise ValueError(f"unsupported channel count {n_channels} in {path}: mono required")
     if sampwidth != 2:

@@ -166,6 +166,26 @@ def backbone_checksum(params: BackboneParams) -> str:
     return digest.hexdigest()
 
 
+def backbone_layers(
+    x: np.ndarray, params: BackboneParams
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The frozen mixer's layer loop on a T x H array, unchecked.
+
+    Returns the residual stream before and after each layer (its last entry
+    is the output) and each layer's tanh activations: everything the
+    training backward pass reads.
+    """
+    states = [x]
+    hidden = []
+    for layer in params.layers:
+        h = np.tanh(x @ layer.w_in + layer.b_in)
+        hidden.append(h)
+        x = x + h @ layer.w_out + layer.b_out
+        x = x + (x - x.mean(axis=0, keepdims=True))
+        states.append(x)
+    return states, hidden
+
+
 def backbone_forward(seq: np.ndarray, params: BackboneParams) -> np.ndarray:
     """Apply the frozen residual mixer to a T x H sequence.
 
@@ -184,11 +204,7 @@ def backbone_forward(seq: np.ndarray, params: BackboneParams) -> np.ndarray:
         raise ValueError(
             f"sequence width {x.shape[1]} does not match backbone width {params.hidden_dim}"
         )
-    for layer in params.layers:
-        hidden = np.tanh(x @ layer.w_in + layer.b_in)
-        x = x + hidden @ layer.w_out + layer.b_out
-        x = x + (x - x.mean(axis=0, keepdims=True))
-    return x
+    return backbone_layers(x, params)[0][-1]
 
 
 def pool(seq: np.ndarray) -> np.ndarray:
@@ -206,21 +222,36 @@ def embed_text(text: str, vocab: Vocab, backbone: BackboneParams) -> np.ndarray:
     return pool(backbone_forward(seq, backbone))
 
 
+def encoder_layers(x: np.ndarray, params: SpeechEncoderParams) -> list[np.ndarray]:
+    """The speech encoder's layer loop on a T x n_mels array, unchecked.
+
+    Returns the input followed by each layer's output (the last entry is the
+    encoder output): the inputs and activations the training backward pass
+    reads.
+    """
+    states = [x]
+    last = len(params.layers) - 1
+    for k, (w, b) in enumerate(params.layers):
+        x = x @ w + b
+        if k < last:
+            x = np.tanh(x)
+        states.append(x)
+    return states
+
+
 def speech_encode(features, params: SpeechEncoderParams) -> np.ndarray:
     x = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
     if x.ndim != 2:
         raise ValueError(f"expected T x n_mels features, got shape {x.shape}")
-    n_layers = len(params.layers)
     x = x.astype(params.layers[0][0].dtype, copy=False)
-    for k, (w, b) in enumerate(params.layers):
-        if x.shape[1] != w.shape[0]:
+    width = x.shape[1]
+    for k, (w, _) in enumerate(params.layers):
+        if width != w.shape[0]:
             raise ValueError(
-                f"layer {k}: input width {x.shape[1]} does not match weight rows {w.shape[0]}"
+                f"layer {k}: input width {width} does not match weight rows {w.shape[0]}"
             )
-        x = x @ w + b
-        if k < n_layers - 1:
-            x = np.tanh(x)
-    return x
+        width = w.shape[1]
+    return encoder_layers(x, params)[-1]
 
 
 def embed_speech(

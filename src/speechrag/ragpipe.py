@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import Corpus, Passage
+from .corpus import Corpus, Passage, Query
 from .dsp import add_noise_snr
 from .encoder import RetrieverModel, words
 from .index import SearchResult, build as build_index, recall_at_k, search
@@ -198,18 +198,6 @@ class GeneratorError(RuntimeError):
     pass
 
 
-def assemble_prompt(query: str, contexts, instruction: str = DEFAULT_INSTRUCTION) -> str:
-    """Deterministic prompt: instruction, enumerated contexts in retrieval
-    rank order, then the question."""
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("contexts must be non-empty")
-    blocks = [instruction]
-    blocks.extend(f"[{i}] {ctx}" for i, ctx in enumerate(contexts, start=1))
-    blocks.append(f"Question: {query}")
-    return "\n".join(blocks)
-
-
 def audio_reference(passage: Passage) -> str:
     return passage.audio_path if passage.audio_path is not None else f"audio:{passage.id}"
 
@@ -323,11 +311,6 @@ class HttpJudge:
         return int(verdict.startswith(("1", "yes", "correct")))
 
 
-def judge_correctness(query: str, answer: str, gold: str, judge=None) -> int:
-    judge = judge or MockJudge()
-    return judge(query, answer, gold)
-
-
 # ---------------------------------------------------------------------------
 # Pipeline execution
 # ---------------------------------------------------------------------------
@@ -382,6 +365,30 @@ def _zero_fallback(model: RetrieverModel) -> np.ndarray:
     return np.full(dim, 1e-6, dtype=np.float32)
 
 
+def _retrieve(
+    corpus: Corpus,
+    mode: PipelineMode,
+    model: RetrieverModel,
+    k: int,
+    corruption: CorruptionConfig | None,
+    snr_db: float | None,
+    noise_seed: int,
+) -> tuple[dict[str, str], list[tuple[str, Query, SearchResult]]]:
+    """The retrieval loop of every pipeline: embed the passages under the
+    mode, index them once, and search each query's text embedding to depth
+    k. Returns each passage's context string and one (query key, query,
+    result) per query, in corpus order."""
+    pairs, contexts = passage_embeddings(
+        corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
+    )
+    idx = build_index(pairs)
+    hits = [
+        (f"q{qi:04d}", q, search(idx, model.embed_text(q.text), k))
+        for qi, q in enumerate(corpus.queries)
+    ]
+    return contexts, hits
+
+
 @dataclass(frozen=True)
 class Trace:
     query_key: str
@@ -414,19 +421,11 @@ def run_pipeline(
     generator, and record one trace per query. Generator failures are
     recorded on the trace and the run continues."""
     generator = generator if generator is not None else OracleGenerator(corpus)
-    pairs, context_by_id = passage_embeddings(
-        corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
-    )
-    idx = build_index(pairs)
+    context_by_id, hits = _retrieve(corpus, mode, model, k, corruption, snr_db, noise_seed)
 
-    prepared: list[tuple[str, "Query", SearchResult, tuple[str, ...]]] = []
-    for qi, q in enumerate(corpus.queries):
-        result = search(idx, model.embed_text(q.text), k)
+    def generate(hit) -> Trace:
+        key, q, result = hit
         contexts = tuple(context_by_id[pid] for pid, _ in result.ranking)
-        prepared.append((f"q{qi:04d}", q, result, contexts))
-
-    def generate(entry) -> Trace:
-        key, q, result, contexts = entry
         try:
             response = generator(
                 GenerationRequest(query=q.text, contexts=contexts, instruction=instruction)
@@ -447,8 +446,8 @@ def run_pipeline(
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            return list(pool.map(generate, prepared))
-    return [generate(entry) for entry in prepared]
+            return list(pool.map(generate, hits))
+    return [generate(hit) for hit in hits]
 
 
 @dataclass
@@ -471,17 +470,13 @@ def retrieval_run(
     """Embed passages for the mode, run every query, and report Recall@k for
     each requested k plus one ranked row per query."""
     k_values = sorted(k_values)
-    pairs, contexts = passage_embeddings(
-        corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
+    contexts, hits = _retrieve(
+        corpus, mode, model, max(k_values), corruption, snr_db, noise_seed
     )
-    idx = build_index(pairs)
     results: dict[str, SearchResult] = {}
     qrels: dict[str, str] = {}
     rows: list[dict] = []
-    max_k = max(k_values)
-    for qi, q in enumerate(corpus.queries):
-        key = f"q{qi:04d}"
-        result = search(idx, model.embed_text(q.text), max_k)
+    for key, q, result in hits:
         results[key] = result
         qrels[key] = q.relevant_passage_id
         rows.append(

@@ -27,7 +27,9 @@ from .encoder import (
     RetrieverModel,
     SpeechEncoderParams,
     Vocab,
+    backbone_layers,
     embed_text,
+    encoder_layers,
     make_backbone,
     make_speech_encoder,
 )
@@ -157,43 +159,30 @@ def _cosine_loss_grad(e_s: np.ndarray, e_t: np.ndarray) -> tuple[float, np.ndarr
 
 
 def _forward_item(features: np.ndarray, speech, adapter, backbone) -> tuple[np.ndarray, dict]:
-    """Forward pass keeping every intermediate the backward pass needs."""
-    cache: dict = {"enc_inputs": [], "enc_acts": []}
-    x = features
-    n_layers = len(speech.layers)
-    for k, (w, b) in enumerate(speech.layers):
-        cache["enc_inputs"].append(x)
-        z = x @ w + b
-        x = np.tanh(z) if k < n_layers - 1 else z
-        cache["enc_acts"].append(x)
+    """The speech branch's forward pass, keeping every intermediate the
+    backward pass needs. It runs the encoder and backbone layer loops that
+    inference runs, then checks the recorded activations in order and names
+    the first stage that holds a non-finite value."""
+    enc = encoder_layers(features, speech)
+    for k, x in enumerate(enc[1:]):
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite activations after encoder layer {k}")
-    cache["enc_out_rows"] = x.shape[0]
-    down = downsample(x, adapter.downsample_factor)
-    cache["down"] = down
+    down = downsample(enc[-1], adapter.downsample_factor)
     proj = down @ adapter.w_proj + adapter.b_proj
     if not np.all(np.isfinite(proj)):
         raise FloatingPointError("non-finite activations after adapter projection")
-    cache["bb_inputs"] = []
-    cache["bb_tanh"] = []
-    y = proj
-    n_rows = y.shape[0]
-    for i, layer in enumerate(backbone.layers):
-        cache["bb_inputs"].append(y)
-        t = np.tanh(y @ layer.w_in + layer.b_in)
-        cache["bb_tanh"].append(t)
-        y = y + t @ layer.w_out + layer.b_out
-        y = y + (y - y.mean(axis=0, keepdims=True))
+    states, hidden = backbone_layers(proj, backbone)
+    for i, y in enumerate(states[1:]):
         if not np.all(np.isfinite(y)):
             raise FloatingPointError(f"non-finite activations after backbone layer {i}")
-    cache["bb_rows"] = n_rows
-    return y.mean(axis=0), cache
+    return states[-1].mean(axis=0), {"enc": enc, "down": down, "bb_tanh": hidden}
 
 
 def _backward_item(
     grad_e: np.ndarray, cache: dict, speech, adapter, backbone
 ) -> dict[str, np.ndarray]:
-    n_rows = cache["bb_rows"]
+    down = cache["down"]
+    n_rows = down.shape[0]
     g = np.broadcast_to(grad_e / n_rows, (n_rows, grad_e.size)).copy()
     for i in reversed(range(len(backbone.layers))):
         layer = backbone.layers[i]
@@ -204,15 +193,15 @@ def _backward_item(
         g_u = g_t * (1.0 - t * t)
         g = g + g_u @ layer.w_in.T
 
-    down = cache["down"]
     grads: dict[str, np.ndarray] = {
         "adapter/w_proj": down.T @ g,
         "adapter/b_proj": g.sum(axis=0),
     }
     g = g @ adapter.w_proj.T
 
+    enc = cache["enc"]
     factor = adapter.downsample_factor
-    enc_rows = cache["enc_out_rows"]
+    enc_rows = enc[-1].shape[0]
     starts = np.arange(0, enc_rows, factor)
     counts = np.minimum(starts + factor, enc_rows) - starts
     g = np.repeat(g / counts[:, None].astype(g.dtype), counts, axis=0)
@@ -220,9 +209,9 @@ def _backward_item(
     n_layers = len(speech.layers)
     for k in reversed(range(n_layers)):
         w, _ = speech.layers[k]
-        act = cache["enc_acts"][k]
+        act = enc[k + 1]
         g_z = g * (1.0 - act * act) if k < n_layers - 1 else g
-        grads[f"encoder/{k}/w"] = cache["enc_inputs"][k].T @ g_z
+        grads[f"encoder/{k}/w"] = enc[k].T @ g_z
         grads[f"encoder/{k}/b"] = g_z.sum(axis=0)
         g = g_z @ w.T
     return grads
@@ -252,23 +241,6 @@ def loss_and_grads(
     assert acc is not None
     scale = 1.0 / len(items)
     return total_loss * scale, {name: g * scale for name, g in acc.items()}
-
-
-def backward(
-    batch: list[tuple], model: RetrieverModel
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-loss gradients for a batch of (AudioSignal, transcript) pairs.
-
-    Targets e_t are computed with the frozen backbone; no gradient flows into
-    the backbone or the token embeddings.
-    """
-    dtype = model.adapter.w_proj.dtype
-    items = []
-    for signal, transcript in batch:
-        feats = logmel(signal, model.feature_config).data.astype(dtype)
-        target = embed_text(transcript, model.vocab, model.backbone).astype(dtype)
-        items.append((feats, target))
-    return loss_and_grads(items, model.speech, model.adapter, model.backbone)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,16 @@ def test_corrupt_header_rejected(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("size", [0, 4, 12, 30])
+def test_header_truncated_wav_rejected_with_value_error(tmp_path, size):
+    full = tmp_path / "full.wav"
+    write_wav(full, AudioSignal(np.zeros(100), SR))
+    path = tmp_path / "cut.wav"
+    path.write_bytes(full.read_bytes()[:size])
+    with pytest.raises(ValueError, match="cut.wav"):
+        read_wav(path)
+
+
 # ---------------------------------------------------------------------------
 # Log-mel features
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from speechrag.training import (
     EarlyStopper,
     TrainConfig,
     adam_step,
-    backward,
     build_model,
     cosine_loss,
     grad_check,
@@ -147,13 +147,15 @@ def test_duplicated_batch_same_gradients(small_corpus, small_model):
         assert np.allclose(grads_once[name], grads_twice[name], atol=1e-12)
 
 
-def test_backward_on_signal_transcript_pairs(small_corpus, small_model):
-    batch = [
-        (small_corpus.load_audio(p), p.transcript) for p in small_corpus.passages[:2]
-    ]
-    loss, grads = backward(batch, small_model)
-    assert math.isfinite(loss)
-    assert set(grads) == set(trainable_tensors(small_model.speech, small_model.adapter))
+def _poisoned(model, stage):
+    """A copy of `model` whose first non-finite activation is at `stage`."""
+    if stage == "adapter projection":
+        adapter = replace(model.adapter, w_proj=np.full_like(model.adapter.w_proj, np.inf))
+        return replace(model, adapter=adapter)
+    i = int(stage.removeprefix("backbone layer "))
+    layers = list(model.backbone.layers)
+    layers[i] = replace(layers[i], w_out=np.full_like(layers[i].w_out, np.inf))
+    return replace(model, backbone=replace(model.backbone, layers=tuple(layers)))
 
 
 def test_non_finite_activation_reports_layer(small_corpus, small_model):
@@ -161,6 +163,31 @@ def test_non_finite_activation_reports_layer(small_corpus, small_model):
     with np.errstate(invalid="ignore"):
         with pytest.raises(FloatingPointError, match="encoder layer 0"):
             _forward_item(bad, small_model.speech, small_model.adapter, small_model.backbone)
+    # Finite features whose first non-finite value appears later: the error
+    # names that stage, not one the non-finite values reach after it.
+    feats = logmel(small_corpus.load_audio(small_corpus.passages[0]),
+                   small_model.feature_config).data
+    assert len(small_model.backbone.layers) == 2
+    for stage in ("adapter projection", "backbone layer 0", "backbone layer 1"):
+        model = _poisoned(small_model, stage)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=f"after {stage}$"):
+                _forward_item(feats, model.speech, model.adapter, model.backbone)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_forward_equals_inference_embedding(small_corpus, dtype):
+    # Training and retrieval run one speech forward pass, so the embedding the
+    # loss sees is the embedding the index holds, bit for bit.
+    vocab = Vocab.from_words(corpus_words(small_corpus))
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=4, dtype=dtype, proj_std=0.1)
+    for p in small_corpus.passages[:3]:
+        signal = small_corpus.load_audio(p)
+        feats = logmel(signal, model.feature_config).data.astype(dtype)
+        e_s, _ = _forward_item(feats, model.speech, model.adapter, model.backbone)
+        expected = model.embed_speech(signal)
+        assert e_s.dtype == expected.dtype == dtype
+        assert np.array_equal(e_s, expected)
 
 
 # ---------------------------------------------------------------------------
