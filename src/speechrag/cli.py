@@ -177,7 +177,6 @@ def _generator_for(config: RunConfig, corpus, url: str | None):
 def cmd_synth(config: RunConfig, args) -> int:
     corpus = synth_corpus(config.synth)
     save_manifest(corpus, config.path(config.corpus_manifest))
-    _write_meta(config, "synth")
     print(f"wrote {len(corpus.passages)} passages, {len(corpus.queries)} queries "
           f"to {config.path(config.corpus_manifest)}")
     return 0
@@ -188,7 +187,6 @@ def cmd_split(config: RunConfig, args) -> int:
     parts = split(corpus, config.train_frac, config.val_frac, config.seed)
     for part, template in zip(parts, (config.train_manifest, config.val_manifest, config.test_manifest)):
         save_manifest(part, config.path(template))
-    _write_meta(config, "split")
     print("split sizes:", *(len(p.passages) for p in parts))
     return 0
 
@@ -208,7 +206,6 @@ def cmd_train(config: RunConfig, args) -> int:
     log_path.parent.mkdir(parents=True, exist_ok=True)
     result = train(train_corpus, val_corpus, config.train, model=model, log_path=log_path)
     save_checkpoint(result.checkpoint, config.path(config.checkpoint_path))
-    _write_meta(config, "train")
     last = result.history[-1]
     print(f"trained {last['epoch']} epochs; best epoch {result.checkpoint.epoch} "
           f"(val loss {result.checkpoint.best_val_loss:.6f}); "
@@ -223,7 +220,6 @@ def cmd_embed(config: RunConfig, args) -> int:
     pairs, _ = passage_embeddings(corpus, mode, model, corruption=corruption, snr_db=args.snr_db)
     out = config.path(config.embeddings_path, mode=mode.value)
     save_embeddings(out, [pid for pid, _ in pairs], np.stack([emb for _, emb in pairs]))
-    _write_meta(config, "embed")
     print(f"wrote {len(pairs)} embeddings to {out}")
     return 0
 
@@ -234,7 +230,6 @@ def cmd_index(config: RunConfig, args) -> int:
     idx = build_index(zip(ids, matrix))
     out = config.path(config.index_path, mode=mode.value)
     save(idx, out)
-    _write_meta(config, "index")
     print(f"indexed {len(idx)} vectors of dim {idx.dim} at {out}")
     return 0
 
@@ -247,7 +242,6 @@ def cmd_search(config: RunConfig, args) -> int:
     result = search(idx, model.embed_text(args.query), args.k)
     for pid, score in result.ranking:
         print(json.dumps({"id": pid, "score": round(score, 6)}))
-    _write_meta(config, "search")
     return 0
 
 
@@ -269,7 +263,6 @@ def cmd_eval_retrieval(config: RunConfig, args) -> int:
         )
     out = config.path(config.report_dir) / "retrieval.csv"
     _write_csv(out, header, rows)
-    _write_meta(config, "eval-retrieval")
     print(out)
     for row in rows:
         print(",".join(map(str, row)))
@@ -300,7 +293,6 @@ def cmd_noise_sweep(config: RunConfig, args) -> int:
         rows.append([snr_db, "fully_cascaded", f"{cascaded.recalls[5]:.4f}"])
     out = config.path(config.report_dir) / "noise_sweep.csv"
     _write_csv(out, ["snr_db", "mode", "recall@5"], rows)
-    _write_meta(config, "noise-sweep")
     print(out)
     return 0
 
@@ -323,7 +315,6 @@ def cmd_corrupt(config: RunConfig, args) -> int:
     out = config.path(config.report_dir) / "corruption.jsonl"
     _write_jsonl(out, rows + [{"summary": True, "target_wer": corruption.target_wer,
                                "achieved_wer": round(achieved, 6)}])
-    _write_meta(config, "corrupt")
     print(f"target {corruption.target_wer} achieved {achieved:.4f} -> {out}")
     return 0
 
@@ -373,7 +364,6 @@ def cmd_eval_generation(config: RunConfig, args) -> int:
           report.generator_errors, report.judge_errors]],
     )
     _write_jsonl(config.path(config.report_dir) / f"generation_{mode.value}_rows.jsonl", report.rows)
-    _write_meta(config, "eval-generation")
     print(f"{mode.value}: EM {report.em_mean:.4f} correctness {report.correctness_mean:.4f} -> {out}")
     return 0
 
@@ -390,7 +380,6 @@ def cmd_gradcheck(config: RunConfig, args) -> int:
     model = _build_model(config, vocab, config.seed, dtype=np.float64, proj_std=0.1)
     items = _corpus_items(probe_corpus, model, np.float64)[:2]
     err = grad_check(model, items, probe_count=args.probes, eps=args.eps, seed=config.seed)
-    _write_meta(config, "gradcheck")
     passed = err <= GRADCHECK_THRESHOLD
     print(f"max relative error: {err:.3e} (threshold {GRADCHECK_THRESHOLD:g}) "
           f"-> {'PASS' if passed else 'FAIL'}")
@@ -492,7 +481,9 @@ def main(argv=None) -> int:
     try:
         overrides = {"seed": args.seed, "data_dir": args.data_dir}
         config = load_config(args.config, overrides)
-        return COMMANDS[args.command](config, args)
+        code = COMMANDS[args.command](config, args)
+        _write_meta(config, args.command)
+        return code
     except (ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

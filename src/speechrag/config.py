@@ -61,6 +61,10 @@ class RunConfig:
     seed: int = 7
 
     def __post_init__(self):
+        for name, least in (("hidden_dim", 1), ("encoder_dim", 1), ("encoder_layers", 1),
+                            ("backbone_layers", 0), ("downsample_factor", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if list(self.k_values) != sorted(self.k_values) or any(k < 1 for k in self.k_values):
             raise ValueError("k_values must be positive and sorted ascending")
 

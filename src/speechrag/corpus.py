@@ -271,11 +271,11 @@ def _parse_query(record: dict, lineno: int) -> Query:
     )
 
 
-def save_manifest(corpus: Corpus, path, audio_dirname: str = "audio") -> None:
+def save_manifest(corpus: Corpus, path) -> None:
     """Write a corpus as JSONL plus PCM16 WAV files.
 
     Passages already referencing files under the destination directory keep
-    their references; in-memory audio is written to `<dir>/<audio_dirname>/`.
+    their references; in-memory audio is written to `<dir>/audio/`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -284,9 +284,8 @@ def save_manifest(corpus: Corpus, path, audio_dirname: str = "audio") -> None:
         if p.audio_path is not None and corpus.base_dir == str(path.parent):
             rel = p.audio_path
         else:
-            audio_dir = path.parent / audio_dirname
-            audio_dir.mkdir(parents=True, exist_ok=True)
-            rel = f"{audio_dirname}/{p.id}.wav"
+            (path.parent / "audio").mkdir(parents=True, exist_ok=True)
+            rel = f"audio/{p.id}.wav"
             write_wav(path.parent / rel, corpus.load_audio(p))
         lines.append(
             json.dumps(

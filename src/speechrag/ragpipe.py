@@ -147,7 +147,7 @@ def corrupt_transcript(text: str, cfg: CorruptionConfig) -> str:
     return " ".join(out)
 
 
-def _random_word(rng: np.random.Generator, vocabulary, *_) -> str:
+def _random_word(rng: np.random.Generator, vocabulary) -> str:
     if not vocabulary:
         raise ValueError("empty vocabulary but an insertion was selected")
     return vocabulary[int(rng.integers(len(vocabulary)))]
@@ -282,16 +282,15 @@ def token_f1(answer: str, gold: str) -> float:
 
 class MockJudge:
     """Deterministic stand-in for an LLM judge: exact match, or token-level
-    F1 at or above the threshold. Its agreement with any real judge is
+    F1 at or above F1_THRESHOLD. Its agreement with any real judge is
     untested and not claimed."""
 
-    def __init__(self, f1_threshold: float = 0.8):
-        self.f1_threshold = f1_threshold
+    F1_THRESHOLD = 0.8
 
     def __call__(self, query: str, answer: str, gold: str) -> int:
         if exact_match(answer, gold):
             return 1
-        return int(token_f1(answer, gold) >= self.f1_threshold)
+        return int(token_f1(answer, gold) >= self.F1_THRESHOLD)
 
 
 class HttpJudge:
@@ -412,16 +411,14 @@ def run_pipeline(
     k: int = 5,
     generator=None,
     corruption: CorruptionConfig | None = None,
-    snr_db: float | None = None,
-    noise_seed: int = 0,
     instruction: str = DEFAULT_INSTRUCTION,
     concurrency: int = 1,
 ) -> list[Trace]:
-    """Retrieve top-k for every query, build per-mode contexts, call the
-    generator, and record one trace per query. Generator failures are
-    recorded on the trace and the run continues."""
+    """Retrieve top-k for every query over clean passage audio, build
+    per-mode contexts, call the generator, and record one trace per query.
+    Generator failures are recorded on the trace and the run continues."""
     generator = generator if generator is not None else OracleGenerator(corpus)
-    context_by_id, hits = _retrieve(corpus, mode, model, k, corruption, snr_db, noise_seed)
+    context_by_id, hits = _retrieve(corpus, mode, model, k, corruption, None, 0)
 
     def generate(hit) -> Trace:
         key, q, result = hit

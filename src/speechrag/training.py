@@ -7,8 +7,9 @@ speech encoder, hand-written against the fixed computation graph (feature
 extraction has no parameters and is not differentiated). The backbone and
 token embeddings receive no gradient and are never mutated.
 
-Training runs in single precision by default; gradient checking builds the
-same graph in double precision and compares against central differences.
+Training runs in the precision of the model it is given (single precision
+from the CLI); gradient checking takes a double-precision model and compares
+against central differences.
 """
 
 from __future__ import annotations
@@ -325,27 +326,18 @@ def train(
     train_corpus: Corpus,
     val_corpus: Corpus,
     config: TrainConfig,
-    model: RetrieverModel | None = None,
-    vocab: Vocab | None = None,
+    model: RetrieverModel,
     log_path=None,
-    **model_kwargs,
 ) -> TrainResult:
-    """Run the distillation recipe: seeded-shuffled micro-batches, gradients
-    averaged over grad_accum_steps micro-batches per optimizer step (a
-    trailing shorter accumulation window at the epoch end is averaged over
-    its actual length), epoch-level validation, early stopping on val loss
-    with the configured patience, best checkpoint retained.
+    """Train `model`'s speech branch with the distillation recipe:
+    seeded-shuffled micro-batches, gradients averaged over grad_accum_steps
+    micro-batches per optimizer step (a trailing shorter accumulation window
+    at the epoch end is averaged over its actual length), epoch-level
+    validation, early stopping on val loss with the configured patience,
+    best checkpoint retained. The model's arrays are never mutated.
     """
     if not train_corpus.passages or not val_corpus.passages:
         raise ValueError("train and val corpora must be non-empty")
-    if model is None:
-        if vocab is None:
-            from .corpus import corpus_words
-
-            vocab = Vocab.from_words(
-                corpus_words(train_corpus) + corpus_words(val_corpus)
-            )
-        model = build_model(vocab, seed=config.seed, **model_kwargs)
 
     dtype = model.adapter.w_proj.dtype
     train_items = _corpus_items(train_corpus, model, dtype)
@@ -454,31 +446,6 @@ def mean_cosine(corpus: Corpus, model: RetrieverModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def to_dtype(model: RetrieverModel, dtype) -> RetrieverModel:
-    backbone = BackboneParams(
-        token_embedding=model.backbone.token_embedding.astype(dtype),
-        layers=tuple(
-            type(layer)(
-                w_in=layer.w_in.astype(dtype),
-                b_in=layer.b_in.astype(dtype),
-                w_out=layer.w_out.astype(dtype),
-                b_out=layer.b_out.astype(dtype),
-            )
-            for layer in model.backbone.layers
-        ),
-        seed=model.backbone.seed,
-    )
-    speech = SpeechEncoderParams(
-        layers=tuple((w.astype(dtype), b.astype(dtype)) for w, b in model.speech.layers)
-    )
-    adapter = AdapterParams(
-        w_proj=model.adapter.w_proj.astype(dtype),
-        b_proj=model.adapter.b_proj.astype(dtype),
-        downsample_factor=model.adapter.downsample_factor,
-    )
-    return replace(model, backbone=backbone, speech=speech, adapter=adapter)
-
-
 def grad_check(
     model: RetrieverModel,
     items: list[tuple[np.ndarray, np.ndarray]],
@@ -488,28 +455,29 @@ def grad_check(
 ) -> float:
     """Compare analytic gradients against central finite differences on
     `probe_count` randomly chosen scalar parameters per trainable tensor.
-    Returns the maximum relative error. Use a double-precision model."""
-    model = to_dtype(model, np.float64)
-    items = [(f.astype(np.float64), t.astype(np.float64)) for f, t in items]
-    tensors = dict(trainable_tensors(model.speech, model.adapter))
-    n_enc = len(model.speech.layers)
-    factor = model.adapter.downsample_factor
-    speech, adapter = params_from_tensors(tensors, n_enc, factor)
+    Returns the maximum relative error. The model must be double precision;
+    probes perturb copies of its trainable tensors, never the model's own."""
+    if model.adapter.w_proj.dtype != np.float64:
+        raise ValueError(f"grad_check needs a float64 model, got {model.adapter.w_proj.dtype}")
+    tensors = {k: v.copy() for k, v in trainable_tensors(model.speech, model.adapter).items()}
+    speech, adapter = params_from_tensors(
+        tensors, len(model.speech.layers), model.adapter.downsample_factor
+    )
     _, analytic = loss_and_grads(items, speech, adapter, model.backbone)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, theta in tensors.items():
+        # `speech` and `adapter` hold these arrays, so edits through `flat`
+        # reach the forward pass directly.
         flat = theta.reshape(-1)
         n_probe = min(probe_count, flat.size)
         for idx in rng.choice(flat.size, size=n_probe, replace=False):
             original = flat[idx]
             flat[idx] = original + eps
-            lo_speech, lo_adapter = params_from_tensors(tensors, n_enc, factor)
-            loss_plus, _ = loss_and_grads(items, lo_speech, lo_adapter, model.backbone)
+            loss_plus, _ = loss_and_grads(items, speech, adapter, model.backbone)
             flat[idx] = original - eps
-            lo_speech, lo_adapter = params_from_tensors(tensors, n_enc, factor)
-            loss_minus, _ = loss_and_grads(items, lo_speech, lo_adapter, model.backbone)
+            loss_minus, _ = loss_and_grads(items, speech, adapter, model.backbone)
             flat[idx] = original
             numeric = (loss_plus - loss_minus) / (2.0 * eps)
             a = float(analytic[name].reshape(-1)[idx])

@@ -36,7 +36,7 @@ def convergence_run(seed7_splits, seed7_vocab):
     train_corpus, val_corpus, _ = seed7_splits
     config = TrainConfig(max_epochs=200, seed=7)
     started = time.monotonic()
-    result = train(train_corpus, val_corpus, config, vocab=seed7_vocab)
+    result = train(train_corpus, val_corpus, config, build_model(seed7_vocab, seed=7))
     elapsed = time.monotonic() - started
     return result, elapsed
 

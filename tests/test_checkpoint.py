@@ -6,7 +6,7 @@ import pytest
 from speechrag.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from speechrag.corpus import SynthParams, corpus_words, split, synth_corpus
 from speechrag.encoder import Vocab, backbone_checksum
-from speechrag.training import TrainConfig, trainable_tensors, train
+from speechrag.training import TrainConfig, build_model, trainable_tensors, train
 
 
 @pytest.fixture(scope="module")
@@ -14,8 +14,8 @@ def checkpoint():
     corpus = synth_corpus(SynthParams(n_passages=6, vocabulary_size=10, words_per_passage=(4, 8), seed=2))
     tr, va, _ = split(corpus, 0.5, 0.25, seed=2)
     vocab = Vocab.from_words(corpus_words(corpus))
-    result = train(tr, va, TrainConfig(max_epochs=2, seed=2), vocab=vocab,
-                   hidden_dim=16, encoder_dim=16)
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=2)
+    result = train(tr, va, TrainConfig(max_epochs=2, seed=2), model)
     return result.checkpoint
 
 

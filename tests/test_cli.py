@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import pytest
 
+from speechrag import cli
 from speechrag.cli import main
+from speechrag.config import load_config
 
 FAST_CONFIG = {
     "synth": {"n_passages": 10, "vocabulary_size": 12, "words_per_passage": (5, 9)},
@@ -164,6 +166,42 @@ def test_gradcheck_passes(workspace, capsys):
     assert run("gradcheck", "--config", config) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_failing_gradcheck_still_writes_metadata(workspace, capsys, monkeypatch):
+    root, config = workspace
+    monkeypatch.setattr(cli, "GRADCHECK_THRESHOLD", 0.0)
+    assert run("gradcheck", "--config", config) == 2
+    assert "FAIL" in capsys.readouterr().out
+    assert json.loads((root / "reports/gradcheck.meta.json").read_text())["command"] == "gradcheck"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("encoder_layers", 0), ("encoder_dim", 0), ("hidden_dim", 0),
+     ("downsample_factor", 0), ("backbone_layers", -1)],
+)
+def test_config_rejects_impossible_architecture(tmp_path, field, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        load_config(path)
+
+
+def test_config_accepts_zero_layer_backbone():
+    assert load_config(None, {"backbone_layers": 0}).backbone_layers == 0
+
+
+def test_gradcheck_with_impossible_architecture_is_exit_two(workspace, capsys):
+    root, _ = workspace
+    bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    bad["hidden_dim"] = 0
+    path = root / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    assert run("gradcheck", "--config", str(path)) == 2
+    captured = capsys.readouterr()
+    assert "hidden_dim" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_speech_mode_without_checkpoint_is_runtime_error(workspace, capsys):

@@ -22,7 +22,6 @@ from speechrag.training import (
     loss_and_grads,
     mean_cosine,
     params_from_tensors,
-    to_dtype,
     train,
     trainable_tensors,
     _forward_item,
@@ -125,6 +124,29 @@ def test_gradcheck_linear_only_model(small_corpus):
     # the residual error is finite-difference truncation from the cosine.
     err = grad_check(model, items, probe_count=8, eps=2e-5, seed=1)
     assert err <= 1e-7
+
+
+def test_gradcheck_rejects_single_precision_model(small_corpus):
+    vocab = Vocab.from_words(corpus_words(small_corpus))
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=3, dtype=np.float32)
+    items = make_items(small_corpus, model)
+    with pytest.raises(ValueError, match="float64"):
+        grad_check(model, items)
+
+
+def test_gradcheck_leaves_callers_tensors_untouched(small_corpus):
+    vocab = Vocab.from_words(corpus_words(small_corpus))
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=3, dtype=np.float64, proj_std=0.1)
+    items = make_items(small_corpus, model)
+    live = trainable_tensors(model.speech, model.adapter)
+    before = {name: arr.copy() for name, arr in live.items()}
+    # Each probe restores its scalar exactly, so only read-only arrays show
+    # whether a probe wrote to the caller's model at all.
+    for arr in live.values():
+        arr.flags.writeable = False
+    grad_check(model, items, probe_count=3, eps=1e-4, seed=4)
+    for name, arr in live.items():
+        assert np.array_equal(arr, before[name]), name
 
 
 def test_gradcheck_stable_when_eps_halved(small_corpus, small_model):
@@ -268,20 +290,20 @@ def test_early_stopper_example_sequence():
     assert stopper.best == pytest.approx(0.8)
 
 
-def test_train_rejects_empty_corpora(small_corpus):
+def test_train_rejects_empty_corpora(small_corpus, small_model):
     config = TrainConfig(max_epochs=1)
     empty = synth_corpus(SynthParams(n_passages=1, vocabulary_size=4, seed=0))
     empty = type(empty)(passages=(), queries=(), sample_rate=empty.sample_rate)
     with pytest.raises(ValueError, match="non-empty"):
-        train(empty, small_corpus, config)
+        train(empty, small_corpus, config, small_model)
 
 
 def test_train_deterministic_checkpoints(small_corpus):
     tr, va, _ = split(small_corpus, 0.5, 0.25, seed=1)
     config = TrainConfig(max_epochs=3, seed=5)
     vocab = Vocab.from_words(corpus_words(small_corpus))
-    first = train(tr, va, config, vocab=vocab, hidden_dim=16, encoder_dim=16)
-    second = train(tr, va, config, vocab=vocab, hidden_dim=16, encoder_dim=16)
+    first = train(tr, va, config, build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5))
+    second = train(tr, va, config, build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5))
     a = trainable_tensors(first.checkpoint.model.speech, first.checkpoint.model.adapter)
     b = trainable_tensors(second.checkpoint.model.speech, second.checkpoint.model.adapter)
     for name in a:
@@ -307,7 +329,7 @@ def test_train_loss_nonincreasing_after_epoch_3_in_most_runs(seed7_splits, seed7
     ok = 0
     for seed in range(10):
         result = train(tr, va, TrainConfig(max_epochs=12, patience=12, seed=seed),
-                       vocab=seed7_vocab)
+                       build_model(seed7_vocab, seed=seed))
         losses = [row["train_loss"] for row in result.history]
         tail = losses[2:]
         if all(b <= a + 1e-9 for a, b in zip(tail, tail[1:])):
@@ -323,13 +345,6 @@ def test_mean_cosine_improves_with_training(small_corpus):
     result = train(tr, va, TrainConfig(max_epochs=10, patience=10, seed=4), model=model)
     after = mean_cosine(tr, result.checkpoint.model)
     assert after > before
-
-
-def test_to_dtype_roundtrip(small_model):
-    f32 = to_dtype(small_model, np.float32)
-    assert f32.adapter.w_proj.dtype == np.float32
-    back = to_dtype(f32, np.float64)
-    assert back.adapter.w_proj.dtype == np.float64
 
 
 def test_params_tensor_roundtrip(small_model):
