@@ -16,21 +16,16 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import AudioSignal, read_wav, write_wav
+from .dsp import AudioSignal, _wav_header, read_wav, write_wav
 
 SYNTH_SAMPLE_RATE = 16000
 WORD_SECONDS = 0.1
-# A manifest load reads this much of each WAV file at once: the whole header
-# of a file that write_wav made, with room for a few small extra chunks.
-_WAV_HEAD_BYTES = 256
-_WAVE_FORMAT_PCM = 0x0001
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -184,7 +179,7 @@ def _parse_passage(record: dict, lineno: int, base_dir: str) -> tuple[Passage, i
     # Header-only read: samples stay lazy, but rate and duration are checked now.
     try:
         with open(os.path.join(base_dir, record["audio"]), "rb", buffering=0) as fh:
-            rate, n_frames = _wav_header(fh)
+            rate, n_frames, *_ = _wav_header(fh)
     except (FileNotFoundError, NotADirectoryError):
         raise ManifestError(
             f"line {lineno}: audio file not found: {Path(base_dir) / record['audio']}"
@@ -201,63 +196,6 @@ def _parse_passage(record: dict, lineno: int, base_dir: str) -> tuple[Passage, i
         audio_path=str(record["audio"]),
     )
     return passage, rate
-
-
-def _wav_header(fh) -> tuple[int, int]:
-    """(sample rate, frame count) of an open WAV file, read from its header.
-
-    Walks the RIFF chunks with the checks wave.open makes: RIFF/WAVE magic,
-    a PCM fmt chunk with nonzero sample width and channel count before the
-    data chunk, unknown chunks skipped with their odd-size padding byte, and
-    chunks bounded by the RIFF size. Frames are the data chunk size over the
-    frame size; the samples themselves are not read. Raises ValueError on
-    any malformed or short header.
-    """
-    head = fh.read(_WAV_HEAD_BYTES)
-
-    def read_at(offset: int, n: int) -> bytes:
-        if offset + n <= len(head):
-            return head[offset : offset + n]
-        fh.seek(offset)
-        return fh.read(n)
-
-    if len(head) < 12:
-        raise ValueError(f"truncated header ({len(head)} bytes)")
-    if head[:4] != b"RIFF":
-        raise ValueError("file does not start with RIFF id")
-    (riff_size,) = struct.unpack_from("<I", head, 4)
-    riff_end = 8 + riff_size
-    if riff_size < 4 or head[8:12] != b"WAVE":
-        raise ValueError("not a WAVE file")
-    rate = frame_size = None
-    pos = 12
-    while pos + 8 <= riff_end:
-        chunk = read_at(pos, 8)
-        if len(chunk) < 8:
-            break
-        name, (size,) = chunk[:4], struct.unpack_from("<I", chunk, 4)
-        body = pos + 8
-        if name == b"fmt ":
-            fmt = read_at(body, min(16, size, riff_end - body))
-            if len(fmt) < 14:
-                raise ValueError("truncated fmt chunk")
-            tag, channels, rate = struct.unpack_from("<HHI", fmt)
-            if tag != _WAVE_FORMAT_PCM:
-                raise ValueError(f"unknown format: {tag!r}")
-            if len(fmt) < 16:
-                raise ValueError("truncated fmt chunk")
-            sample_width = (struct.unpack_from("<H", fmt, 14)[0] + 7) // 8
-            if not sample_width:
-                raise ValueError("bad sample width")
-            if not channels:
-                raise ValueError("bad # of channels")
-            frame_size = channels * sample_width
-        elif name == b"data":
-            if frame_size is None:
-                raise ValueError("data chunk before fmt chunk")
-            return rate, size // frame_size
-        pos = body + size + (size & 1)
-    raise ValueError("fmt chunk and/or data chunk missing")
 
 
 def _parse_query(record: dict, lineno: int) -> Query:

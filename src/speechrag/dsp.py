@@ -7,13 +7,15 @@ taken), so batches may be processed in parallel without coordination.
 from __future__ import annotations
 
 import math
-import wave
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 PCM_SCALE = 32768.0
+_WAV_HEAD_BYTES = 256  # one read covers write_wav's header and a few small chunks
+_WAVE_FORMAT_PCM = 0x0001
 
 
 @dataclass(frozen=True)
@@ -85,37 +87,85 @@ class FeatureMatrix:
         return self.data.shape[0]
 
 
+def _wav_header(fh) -> tuple[int, int, int, int, int]:
+    """(sample rate, frame count, channels, sample width, data offset) of an
+    open WAV file. Walks the RIFF chunks with the checks wave.open makes:
+    RIFF/WAVE magic, a PCM fmt chunk with nonzero sample width and channels
+    before the data chunk, other chunks skipped with their odd-size pad
+    byte, all bounded by the RIFF size. Raises ValueError on a bad header."""
+    head = fh.read(_WAV_HEAD_BYTES)
+
+    def read_at(offset: int, n: int) -> bytes:
+        if offset + n <= len(head):
+            return head[offset : offset + n]
+        fh.seek(offset)
+        return fh.read(n)
+
+    if len(head) < 12:
+        raise ValueError(f"truncated header ({len(head)} bytes)")
+    if head[:4] != b"RIFF":
+        raise ValueError("file does not start with RIFF id")
+    (riff_size,) = struct.unpack_from("<I", head, 4)
+    riff_end = 8 + riff_size
+    if riff_size < 4 or head[8:12] != b"WAVE":
+        raise ValueError("not a WAVE file")
+    sample_width, pos = None, 12
+    while pos + 8 <= riff_end:
+        chunk = read_at(pos, 8)
+        if len(chunk) < 8:
+            break
+        name, (size,) = chunk[:4], struct.unpack_from("<I", chunk, 4)
+        body = pos + 8
+        if name == b"fmt ":
+            fmt = read_at(body, min(16, size, riff_end - body))
+            if len(fmt) < 14:
+                raise ValueError("truncated fmt chunk")
+            tag, channels, rate = struct.unpack_from("<HHI", fmt)
+            if tag != _WAVE_FORMAT_PCM:
+                raise ValueError(f"unknown format: {tag!r}")
+            if len(fmt) < 16:
+                raise ValueError("truncated fmt chunk")
+            sample_width = (struct.unpack_from("<H", fmt, 14)[0] + 7) // 8
+            if not sample_width:
+                raise ValueError("bad sample width")
+            if not channels:
+                raise ValueError("bad # of channels")
+        elif name == b"data":
+            if sample_width is None:
+                raise ValueError("data chunk before fmt chunk")
+            return rate, size // (channels * sample_width), channels, sample_width, body
+        pos = body + size + (size & 1)
+    raise ValueError("fmt chunk and/or data chunk missing")
+
+
 def read_wav(path) -> AudioSignal:
     """Read a PCM16 mono WAV file. int16 -> float by division by 32768."""
-    try:
-        with wave.open(str(path), "rb") as fh:
-            n_channels = fh.getnchannels()
-            sampwidth = fh.getsampwidth()
-            sample_rate = fh.getframerate()
-            n_frames = fh.getnframes()
-            raw = fh.readframes(n_frames)
-    except (wave.Error, EOFError) as exc:
-        # A file cut inside its header ends wave's chunk reader with a bare EOFError.
-        reason = str(exc) or "truncated header"
-        raise ValueError(f"corrupt or unsupported WAV file {path}: {reason}") from exc
-    if n_channels != 1:
-        raise ValueError(f"unsupported channel count {n_channels} in {path}: mono required")
-    if sampwidth != 2:
-        raise ValueError(f"unsupported sample width {sampwidth} in {path}: PCM16 required")
-    ints = np.frombuffer(raw, dtype="<i2")
+    with open(path, "rb", buffering=0) as fh:
+        try:
+            sample_rate, n_frames, n_channels, sampwidth, offset = _wav_header(fh)
+        except ValueError as exc:
+            raise ValueError(f"corrupt or unsupported WAV file {path}: {exc}") from exc
+        if n_channels != 1:
+            raise ValueError(f"unsupported channel count {n_channels} in {path}: mono required")
+        if sampwidth != 2:
+            raise ValueError(f"unsupported sample width {sampwidth} in {path}: PCM16 required")
+        fh.seek(offset)
+        raw = fh.read(2 * n_frames)
+    # A short data chunk yields the whole samples it holds, as wave reads it.
+    ints = np.frombuffer(raw, dtype="<i2", count=len(raw) // 2)
     return AudioSignal(ints.astype(np.float64) / PCM_SCALE, sample_rate)
 
 
 def write_wav(path, signal: AudioSignal) -> None:
-    """Write PCM16 mono. float -> int16 by multiplication by 32768 with
-    clamping; round-trip error is at most 1/32768 per sample."""
-    scaled = np.rint(signal.samples * PCM_SCALE)
-    clamped = np.clip(scaled, -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(signal.sample_rate)
-        fh.writeframes(clamped.tobytes())
+    """Write PCM16 mono, with the 44-byte header wave writes. float -> int16
+    by multiplication by 32768 with clamping; round-trip error is at most
+    1/32768 per sample."""
+    data = np.clip(np.rint(signal.samples * PCM_SCALE), -32768, 32767).astype("<i2").tobytes()
+    rate = signal.sample_rate
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16,
+                             _WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16, b"data", len(data)))
+        fh.write(data)
 
 
 def hz_to_mel(hz):

@@ -5,24 +5,23 @@ cosine similarity is a plain dot product and there is a single canonical
 similarity path. Search is exact (full scan): at desk scale, approximation
 error must not be confounded with the retrieval quality under study.
 
-On-disk format: magic ``SRAGIDX1`` | version u32 | H u32 | N u64 | id table
-(per id: u32 byte length + UTF-8) | N x H f32 little-endian rows. A sibling
-format with magic ``SRAGEMB1`` stores raw (unnormalized) embeddings written
-by the CLI ``embed`` step.
+On-disk format, in the container of ``files``: magic ``SRAGIDX1`` | version
+u32 | H u32 | N u64 | N id strings | N x H f32 rows. A sibling format with
+magic ``SRAGEMB1`` stores raw (unnormalized) embeddings written by the CLI
+``embed`` step.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
+from . import files
+
 INDEX_MAGIC = b"SRAGIDX1"
 EMB_MAGIC = b"SRAGEMB1"
-VERSION = 1
 NORM_TOL = 1e-6
 
 
@@ -149,46 +148,14 @@ def recall_at_k(results: dict[str, SearchResult], qrels: dict[str, str], k: int)
 
 
 def _write_matrix_file(path, magic: bytes, ids, matrix: np.ndarray) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", matrix.shape[1]))
-        fh.write(struct.pack("<Q", matrix.shape[0]))
-        for pid in ids:
-            encoded = pid.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+    header = [files.u32(matrix.shape[1]), files.u64(matrix.shape[0])]
+    files.write(path, magic, [*header, *map(files.string, ids), files.f32(matrix)])
 
 
 def _read_matrix_file(path, magic: bytes) -> tuple[tuple[str, ...], np.ndarray]:
-    path = Path(path)
-    with path.open("rb") as fh:
-        def need(n: int, what: str) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError(f"corrupt file (truncated at {what}): {path}")
-            return data
-
-        got = need(8, "magic")
-        if got != magic:
-            raise ValueError(f"bad magic {got!r} (expected {magic!r}): {path}")
-        (version,) = struct.unpack("<I", need(4, "version"))
-        if version != VERSION:
-            raise ValueError(f"unsupported version {version}: {path}")
-        (dim,) = struct.unpack("<I", need(4, "dim"))
-        (count,) = struct.unpack("<Q", need(8, "count"))
-        ids = []
-        for _ in range(count):
-            (id_len,) = struct.unpack("<I", need(4, "id length"))
-            ids.append(need(id_len, "id").decode("utf-8"))
-        raw = need(4 * dim * count, "embedding rows")
-        if fh.read(1):
-            raise ValueError(f"corrupt file (trailing bytes): {path}")
-    matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dim).astype(np.float32)
-    return tuple(ids), matrix
+    with files.read(path, magic) as src:
+        dim, count = src.u32("dim"), src.u64("count")
+        return src.strings(count, "id"), src.f32((count, dim), "embedding rows")
 
 
 def save(index: Index, path) -> None:

@@ -353,10 +353,11 @@ def train(
     history: list[dict] = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     started = time.monotonic()
+    # Every epoch ends with an Adam step, which rebuilds speech and adapter.
+    speech, adapter = params_from_tensors(tensors, n_enc, factor)
     try:
         for epoch in range(1, config.max_epochs + 1):
             order = rng.permutation(len(train_items))
-            speech, adapter = params_from_tensors(tensors, n_enc, factor)
             acc_grads: dict[str, np.ndarray] | None = None
             acc_count = 0
             epoch_loss = 0.0
@@ -402,9 +403,8 @@ def train(
                 import json
 
                 log_fh.write(json.dumps(row) + "\n")
-            improved = val_loss < stopper.best
             should_stop = stopper.update(epoch, val_loss)
-            if improved:
+            if stopper.best_epoch == epoch:
                 best_tensors = {k: v.copy() for k, v in tensors.items()}
             if should_stop:
                 break

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import struct
+
 import pytest
 
 from speechrag import cli
+from speechrag.checkpoint import save_checkpoint
 from speechrag.cli import main
 from speechrag.config import load_config
+from speechrag.encoder import Vocab
+from speechrag.training import Checkpoint, TrainConfig, build_model
 
 FAST_CONFIG = {
     "synth": {"n_passages": 10, "vocabulary_size": 12, "words_per_passage": (5, 9)},
@@ -202,6 +207,66 @@ def test_gradcheck_with_impossible_architecture_is_exit_two(workspace, capsys):
     captured = capsys.readouterr()
     assert "hidden_dim" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [({"hidden_dim": "64"}, "config.hidden_dim"), ({"train": {"lr": "0.1"}}, "config.train.lr"),
+     ({"target_wer": True}, "config.target_wer"), ({"k_values": [5, 10.0]}, "config.k_values"),
+     ({"synth": {"words_per_passage": [5]}}, "config.synth.words_per_passage"),
+     ({"feature": 40}, "config.feature"), ({"seed": "3"}, "config.seed")],
+)
+def test_config_value_of_wrong_type_is_exit_two(workspace, capsys, edit, field):
+    root, _ = workspace
+    bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    bad.update(edit)
+    path = root / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    assert run("gradcheck", "--config", str(path)) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_config_types_accept_ints_for_floats_and_lists_for_tuples(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "train": {"lr": 1}, "target_wer": 0, "snr_grid": [5, 7.5],
+        "synth": {"words_per_passage": [3, 4]}, "generator_url": None,
+    }), encoding="utf-8")
+    config = load_config(path)
+    assert config.train.lr == 1 and config.target_wer == 0
+    assert config.snr_grid == (5, 7.5)
+    assert config.synth.words_per_passage == (3, 4)
+    assert config.generator_url is None
+
+
+def write_checkpoint_with_metadata(path, edit) -> None:
+    """A valid checkpoint whose metadata JSON `edit` then changes in place."""
+    model = build_model(Vocab.from_words(["ka", "mo"]), hidden_dim=4, encoder_dim=4, seed=1)
+    save_checkpoint(Checkpoint(model, TrainConfig(), best_val_loss=0.5, epoch=1), path)
+    data = path.read_bytes()
+    (n,) = struct.unpack_from("<I", data, 12)
+    meta = json.loads(data[16 : 16 + n])
+    edit(meta)
+    encoded = json.dumps(meta).encode("utf-8")
+    path.write_bytes(data[:12] + struct.pack("<I", len(encoded)) + encoded + data[16 + n :])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda m: m["feature"].update(bogus=1), lambda m: m.update(vocab=5),
+     lambda m: m["backbone"].update(hidden_dim="64"), lambda m: m.pop("epoch")],
+    ids=["extra_feature_key", "vocab_not_a_list", "backbone_dim_string", "missing_epoch"],
+)
+def test_checkpoint_metadata_of_wrong_shape_is_exit_two(workspace, capsys, edit):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    ckpt = root / "artifacts/model.ckpt"
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    write_checkpoint_with_metadata(ckpt, edit)
+    capsys.readouterr()
+    assert run("embed", "--config", config, "--mode", "gt_text") == 2
+    err = capsys.readouterr().err
+    assert "corrupt checkpoint (metadata" in err and str(ckpt) in err
 
 
 def test_speech_mode_without_checkpoint_is_runtime_error(workspace, capsys):

@@ -15,7 +15,6 @@ from speechrag.corpus import (
     Passage,
     Query,
     SynthParams,
-    _wav_header,
     corpus_equal,
     corpus_words,
     load_manifest,
@@ -24,7 +23,7 @@ from speechrag.corpus import (
     synth_corpus,
     validate_corpus,
 )
-from speechrag.dsp import AudioSignal, write_wav
+from speechrag.dsp import AudioSignal, _wav_header, read_wav, write_wav
 
 SR = 16000
 
@@ -186,7 +185,7 @@ def header_via_wave(path) -> tuple[int, int]:
 
 def header_via_walk(path) -> tuple[int, int]:
     with open(path, "rb", buffering=0) as fh:
-        return _wav_header(fh)
+        return _wav_header(fh)[:2]
 
 
 @pytest.mark.parametrize("seconds, sr", [(0.2, SR), (0.0625, 8000), (1.37, 22050)])
@@ -200,6 +199,39 @@ def test_wav_header_matches_wave_on_hand_built_files(tmp_path, name):
     path = tmp_path / f"{name}.wav"
     path.write_bytes(WAV_VARIANTS[name])
     assert header_via_walk(path) == header_via_wave(path)
+
+
+def read_via_wave(path):
+    """read_wav's reference: (rate, samples) through wave.open, or None
+    for a file that is not PCM16 mono."""
+    with wave.open(str(path), "rb") as fh:
+        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
+            return None
+        raw = fh.readframes(fh.getnframes())
+        return fh.getframerate(), np.frombuffer(raw, dtype="<i2") / 32768.0
+
+
+def assert_read_wav_matches_wave(path):
+    expected = read_via_wave(path)
+    if expected is None:
+        with pytest.raises(ValueError, match="unsupported"):
+            read_wav(path)
+        return
+    signal = read_wav(path)
+    assert signal.sample_rate == expected[0]
+    assert np.array_equal(signal.samples, expected[1])
+
+
+@pytest.mark.parametrize("seconds, sr", [(0.2, SR), (0.0625, 8000), (1.37, 22050)])
+def test_read_wav_matches_wave_on_written_files(tmp_path, seconds, sr):
+    assert_read_wav_matches_wave(tmp_path / make_wav(tmp_path, "a.wav", seconds=seconds, sr=sr))
+
+
+@pytest.mark.parametrize("name", sorted(WAV_VARIANTS))
+def test_read_wav_matches_wave_on_hand_built_files(tmp_path, name):
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(WAV_VARIANTS[name])
+    assert_read_wav_matches_wave(path)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_WAVS))

@@ -82,6 +82,22 @@ def test_corrupt_header_rejected(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100])
+@pytest.mark.parametrize("n", [0, 1, 7, 1001])
+def test_write_wav_bytes_equal_wave_module(tmp_path, sr, n):
+    import wave
+
+    samples = np.random.default_rng(n).uniform(-1.2, 1.2, n)  # past full scale: clamped
+    write_wav(tmp_path / "ours.wav", AudioSignal(samples, sr))
+    ints = np.clip(np.rint(samples * 32768.0), -32768, 32767).astype("<i2")
+    with wave.open(str(tmp_path / "wave.wav"), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(sr)
+        fh.writeframes(ints.tobytes())
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "wave.wav").read_bytes()
+
+
 @pytest.mark.parametrize("size", [0, 4, 12, 30])
 def test_header_truncated_wav_rejected_with_value_error(tmp_path, size):
     full = tmp_path / "full.wav"
