@@ -3,9 +3,12 @@
 Subcommands cover the full experiment cycle: ``synth``, ``split``, ``train``,
 ``embed``, ``index``, ``search``, ``eval-retrieval``, ``noise-sweep``,
 ``corrupt``, ``eval-generation``, ``gradcheck``. A single JSON config file
-(--config) drives everything; flags override config values. Every run writes
-a metadata record (resolved config, config hash, seed, versions) so reports
-are reproducible byte-for-byte from the same config and seed.
+(--config) drives everything. A flag that names a config field (the names in
+CONFIG_FLAGS) is an override that load_config applies over the file. Every
+run writes a metadata record (resolved config with those overrides, config
+hash, seed, versions), so reports are reproducible byte-for-byte from it.
+--mode, --query, search's --k, --snr-db, --probes and --eps are
+per-invocation inputs, not config, and are not recorded.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -74,11 +77,11 @@ def _parse_modes(value: str) -> list[PipelineMode]:
     return modes
 
 
-def _parse_floats(value: str) -> tuple[float, ...]:
+def float_list(value: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in value.split(","))
 
 
-def _parse_ints(value: str) -> tuple[int, ...]:
+def int_list(value: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in value.split(","))
 
 
@@ -114,11 +117,10 @@ def _write_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _corruption(config: RunConfig, corpus, target_wer: float | None = None) -> CorruptionConfig:
-    target = config.target_wer if target_wer is None else target_wer
+def _corruption(config: RunConfig, corpus) -> CorruptionConfig:
     sub, dele, ins = config.corruption_mix
     return CorruptionConfig(
-        target_wer=target,
+        target_wer=config.target_wer,
         vocabulary=tuple(corpus_words(corpus)),
         sub_weight=sub,
         del_weight=dele,
@@ -153,20 +155,13 @@ def _model_for(config: RunConfig, corpus, mode: PipelineMode):
     return _build_model(config, Vocab.from_words(corpus_words(corpus)), config.seed)
 
 
-def _mode_inputs(config: RunConfig, corpus, mode: PipelineMode, target_wer: float | None):
+def _mode_inputs(config: RunConfig, corpus, mode: PipelineMode):
     """The model a mode runs with, and its corruptor: only fully_cascaded
     retrieves over corrupted transcripts, so every other mode gets None."""
     model = _model_for(config, corpus, mode)
     if mode is not PipelineMode.FULLY_CASCADED:
         return model, None
-    return model, _corruption(config, corpus, target_wer)
-
-
-def _generator_for(config: RunConfig, corpus, url: str | None):
-    url = url or config.generator_url
-    if url:
-        return HttpGenerator(url, config.generator_timeout_s)
-    return OracleGenerator(corpus)
+    return model, _corruption(config, corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +209,9 @@ def cmd_train(config: RunConfig, args) -> int:
 
 
 def cmd_embed(config: RunConfig, args) -> int:
-    mode = _parse_modes(args.mode)[0]
-    corpus = load_manifest(config.path(args.manifest or config.corpus_manifest))
-    model, corruption = _mode_inputs(config, corpus, mode, args.target_wer)
+    mode = MODE_ALIASES[args.mode]
+    corpus = load_manifest(config.path(config.corpus_manifest))
+    model, corruption = _mode_inputs(config, corpus, mode)
     pairs, _ = passage_embeddings(corpus, mode, model, corruption=corruption, snr_db=args.snr_db)
     out = config.path(config.embeddings_path, mode=mode.value)
     save_embeddings(out, [pid for pid, _ in pairs], np.stack([emb for _, emb in pairs]))
@@ -225,7 +220,7 @@ def cmd_embed(config: RunConfig, args) -> int:
 
 
 def cmd_index(config: RunConfig, args) -> int:
-    mode = _parse_modes(args.mode)[0]
+    mode = MODE_ALIASES[args.mode]
     ids, matrix = load_embeddings(config.path(config.embeddings_path, mode=mode.value))
     idx = build_index(zip(ids, matrix))
     out = config.path(config.index_path, mode=mode.value)
@@ -235,9 +230,9 @@ def cmd_index(config: RunConfig, args) -> int:
 
 
 def cmd_search(config: RunConfig, args) -> int:
-    mode = _parse_modes(args.mode)[0]
+    mode = MODE_ALIASES[args.mode]
     idx = load_index(config.path(config.index_path, mode=mode.value))
-    corpus = load_manifest(config.path(args.manifest or config.corpus_manifest))
+    corpus = load_manifest(config.path(config.corpus_manifest))
     model = _model_for(config, corpus, PipelineMode.GT_TEXT)
     result = search(idx, model.embed_text(args.query), args.k)
     for pid, score in result.ranking:
@@ -246,18 +241,16 @@ def cmd_search(config: RunConfig, args) -> int:
 
 
 def cmd_eval_retrieval(config: RunConfig, args) -> int:
-    corpus = load_manifest(config.path(args.manifest or config.corpus_manifest))
-    modes = _parse_modes(args.mode)
-    k_values = _parse_ints(args.k) if args.k else config.k_values
-    header = ["mode", "passage_wer"] + [f"recall@{k}" for k in k_values]
+    corpus = load_manifest(config.path(config.corpus_manifest))
+    header = ["mode", "passage_wer"] + [f"recall@{k}" for k in config.k_values]
     rows = []
-    for mode in modes:
-        model, corruption = _mode_inputs(config, corpus, mode, args.target_wer)
+    for mode in _parse_modes(args.mode):
+        model, corruption = _mode_inputs(config, corpus, mode)
         report = retrieval_run(
-            corpus, mode, model, k_values=k_values, corruption=corruption, snr_db=args.snr_db
+            corpus, mode, model, k_values=config.k_values, corruption=corruption, snr_db=args.snr_db
         )
         wer_cell = "" if report.passage_wer is None else f"{report.passage_wer:.4f}"
-        rows.append([mode.value, wer_cell] + [f"{report.recalls[k]:.4f}" for k in k_values])
+        rows.append([mode.value, wer_cell] + [f"{report.recalls[k]:.4f}" for k in config.k_values])
         _write_jsonl(
             config.path(config.report_dir) / f"retrieval_{mode.value}.jsonl", report.rows
         )
@@ -270,17 +263,16 @@ def cmd_eval_retrieval(config: RunConfig, args) -> int:
 
 
 def cmd_noise_sweep(config: RunConfig, args) -> int:
-    corpus = load_manifest(config.path(args.manifest or config.corpus_manifest))
-    snr_grid = _parse_floats(args.snr) if args.snr else config.snr_grid
+    corpus = load_manifest(config.path(config.corpus_manifest))
     speech_model = _model_for(config, corpus, PipelineMode.SPEECH_RAG)
-    corruption = _corruption(config, corpus, args.target_wer)
+    corruption = _corruption(config, corpus)
     # The corruptor is word-level, not audio-driven, so the cascaded row is a
     # noise-independent reference line at the configured WER.
     cascaded = retrieval_run(
         corpus, PipelineMode.FULLY_CASCADED, speech_model, k_values=(5,), corruption=corruption
     )
     rows = []
-    for snr_db in snr_grid:
+    for snr_db in config.snr_grid:
         speech = retrieval_run(
             corpus,
             PipelineMode.SPEECH_RAG,
@@ -298,8 +290,8 @@ def cmd_noise_sweep(config: RunConfig, args) -> int:
 
 
 def cmd_corrupt(config: RunConfig, args) -> int:
-    corpus = load_manifest(config.path(args.manifest or config.corpus_manifest))
-    corruption = _corruption(config, corpus, args.target_wer)
+    corpus = load_manifest(config.path(config.corpus_manifest))
+    corruption = _corruption(config, corpus)
     rows = []
     for p in corpus.passages:
         corrupted = corrupt_transcript(p.transcript, corruption)
@@ -320,25 +312,21 @@ def cmd_corrupt(config: RunConfig, args) -> int:
 
 
 def cmd_eval_generation(config: RunConfig, args) -> int:
-    corpus = load_manifest(config.path(args.manifest or config.corpus_manifest))
-    mode = _parse_modes(args.mode)[0]
-    model, corruption = _mode_inputs(config, corpus, mode, args.target_wer)
-    generator = _generator_for(config, corpus, args.generator_url)
+    corpus = load_manifest(config.path(config.corpus_manifest))
+    mode = MODE_ALIASES[args.mode]
+    model, corruption = _mode_inputs(config, corpus, mode)
+    url, timeout_s = config.generator_url, config.generator_timeout_s
     traces = run_pipeline(
         corpus,
         mode,
         model,
-        k=args.top_k_context or config.top_k_context,
-        generator=generator,
+        k=config.top_k_context,
+        generator=HttpGenerator(url, timeout_s) if url else OracleGenerator(corpus),
         corruption=corruption,
         instruction=config.instruction_template,
         concurrency=config.generator_concurrency,
     )
-    judge = (
-        HttpJudge(config.generator_url, config.generator_timeout_s)
-        if config.judge == "external" and config.generator_url
-        else MockJudge()
-    )
+    judge = HttpJudge(url, timeout_s) if config.judge == "external" else MockJudge()
     report = eval_generation(traces, judge=judge)
     _write_jsonl(
         config.path(config.report_dir) / f"traces_{mode.value}.jsonl",
@@ -408,13 +396,16 @@ def build_parser() -> _Parser:
                  "corrupt", "eval-generation", "gradcheck"):
         sub = subs.add_parser(name)
         _add_common(sub)
-        if name in ("embed", "index", "search", "eval-retrieval", "eval-generation"):
+        if name == "eval-retrieval":
             sub.add_argument("--mode", default="speech",
-                             help="pipeline mode: speech|gt_text|cascaded (comma list for eval-retrieval)")
+                             help=f"comma list of pipeline modes from {sorted(MODE_ALIASES)}")
+        elif name in ("embed", "index", "search", "eval-generation"):
+            sub.add_argument("--mode", default="speech", choices=sorted(MODE_ALIASES))
         if name in ("embed", "search", "eval-retrieval", "noise-sweep", "corrupt", "eval-generation"):
-            sub.add_argument("--manifest", help="manifest to evaluate (defaults to the corpus manifest)")
+            sub.add_argument("--manifest", dest="corpus_manifest",
+                             help="manifest to evaluate (overrides corpus_manifest)")
             sub.add_argument("--target-wer", dest="target_wer", type=float,
-                             help="corruption target WER for cascaded mode")
+                             help="corruption target WER for cascaded mode (overrides target_wer)")
         if name in ("embed", "eval-retrieval"):
             sub.add_argument("--snr-db", dest="snr_db", type=float,
                              help="add Gaussian noise to passage audio at this SNR")
@@ -422,15 +413,16 @@ def build_parser() -> _Parser:
             sub.add_argument("--query", required=True)
             sub.add_argument("--k", type=int, default=5)
         if name == "eval-retrieval":
-            sub.add_argument("--k", help="comma list of recall cutoffs, e.g. 5,10,100")
+            sub.add_argument("--k", dest="k_values", type=int_list,
+                             help="comma list of recall cutoffs (overrides k_values)")
         if name == "noise-sweep":
-            sub.add_argument("--snr", "--snr-db", dest="snr",
-                             help="comma list of SNR values in dB")
+            sub.add_argument("--snr", dest="snr_grid", type=float_list,
+                             help="comma list of SNR values in dB (overrides snr_grid)")
         if name == "eval-generation":
             sub.add_argument("--top-k-context", dest="top_k_context", type=int,
-                             help="number of retrieved contexts per query")
+                             help="retrieved contexts per query (overrides top_k_context)")
             sub.add_argument("--generator-url", dest="generator_url",
-                             help="external generator endpoint")
+                             help="external generator and judge endpoint (overrides generator_url)")
         if name == "gradcheck":
             sub.add_argument("--probes", type=int, default=5,
                              help="random scalar probes per tensor")
@@ -438,6 +430,11 @@ def build_parser() -> _Parser:
                              help="central-difference step")
     return parser
 
+
+# Flags whose argparse dest names a RunConfig field: load_config applies
+# them over the file, so the metadata record and hash include them.
+CONFIG_FLAGS = ("seed", "data_dir", "corpus_manifest", "target_wer", "k_values", "snr_grid",
+                "top_k_context", "generator_url")
 
 COMMANDS = {
     "synth": cmd_synth,
@@ -479,7 +476,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        overrides = {"seed": args.seed, "data_dir": args.data_dir}
+        overrides = {name: getattr(args, name, None) for name in CONFIG_FLAGS}
         config = load_config(args.config, overrides)
         code = COMMANDS[args.command](config, args)
         _write_meta(config, args.command)

@@ -64,11 +64,15 @@ class RunConfig:
 
     def __post_init__(self):
         for name, least in (("hidden_dim", 1), ("encoder_dim", 1), ("encoder_layers", 1),
-                            ("backbone_layers", 0), ("downsample_factor", 1)):
+                            ("backbone_layers", 0), ("downsample_factor", 1), ("top_k_context", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
         if list(self.k_values) != sorted(self.k_values) or any(k < 1 for k in self.k_values):
             raise ValueError("k_values must be positive and sorted ascending")
+        if self.judge not in ("mock", "external"):
+            raise ValueError(f"judge must be 'mock' or 'external', got {self.judge!r}")
+        if self.judge == "external" and not self.generator_url:
+            raise ValueError("judge 'external' needs a generator_url")
 
     def path(self, template: str, **fmt) -> Path:
         return Path(self.data_dir) / template.format(**fmt)

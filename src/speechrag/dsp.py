@@ -151,8 +151,9 @@ def read_wav(path) -> AudioSignal:
             raise ValueError(f"unsupported sample width {sampwidth} in {path}: PCM16 required")
         fh.seek(offset)
         raw = fh.read(2 * n_frames)
-    # A short data chunk yields the whole samples it holds, as wave reads it.
-    ints = np.frombuffer(raw, dtype="<i2", count=len(raw) // 2)
+    if len(raw) < 2 * n_frames:
+        raise ValueError(f"short data chunk in {path}: {len(raw) // 2} of {n_frames} samples")
+    ints = np.frombuffer(raw, dtype="<i2")
     return AudioSignal(ints.astype(np.float64) / PCM_SCALE, sample_rate)
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -45,3 +48,47 @@ def convergence_run(seed7_splits, seed7_vocab):
 def trained_model(convergence_run):
     result, _ = convergence_run
     return result.checkpoint.model
+
+
+class _EchoHandler(BaseHTTPRequestHandler):
+    """A loopback generator and judge over the generator wire protocol. It
+    echoes generation requests, answers judge requests with 1 when the
+    candidate answer holds "same", fails the query "boom" with HTTP 500, and
+    records every request body in its server's `received` list."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        request = json.loads(self.rfile.read(length).decode("utf-8"))
+        self.server.received.append(request)
+        if request["query"] == "boom":
+            self.send_response(500)
+            self.end_headers()
+            return
+        if request["instruction"].startswith("You are grading"):
+            answer = "1" if "same" in request["contexts"][0] else "0"
+        else:
+            answer = f"echo:{request['query']}:{len(request['contexts'])}"
+        body = json.dumps({"answer": answer}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def http_server():
+    server = HTTPServer(("127.0.0.1", 0), _EchoHandler)
+    server.received = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+
+
+@pytest.fixture(scope="module")
+def http_endpoint(http_server):
+    return f"http://127.0.0.1:{http_server.server_port}/"

@@ -303,3 +303,122 @@ def test_seed_flag_overrides_config(workspace):
     first = (root / "corpus/manifest.jsonl").read_text()
     assert run("synth", "--config", config, "--seed", "10") == 0
     assert (root / "corpus/manifest.jsonl").read_text() != first
+
+
+def test_train_on_cut_wav_is_exit_two(workspace, capsys):
+    root, config = workspace
+    for cmd in ("synth", "split"):
+        assert run(cmd, "--config", config) == 0
+    first = json.loads((root / "corpus/train.jsonl").read_text().splitlines()[0])
+    wav = root / "corpus" / first["audio"]
+    data = wav.read_bytes()
+    wav.write_bytes(data[: 44 + (len(data) - 44) // 2])
+    capsys.readouterr()
+    assert run("train", "--config", config) == 2
+    assert f"short data chunk in {wav}" in capsys.readouterr().err
+
+
+def reports(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted((root / "reports").rglob("*"))}
+
+
+def config_hash(root, command: str) -> str:
+    return json.loads((root / f"reports/{command}.meta.json").read_text())["config_hash"]
+
+
+# (setup commands, command, flag, flag value, config field, config value);
+# "URL" stands for the loopback endpoint.
+CONFIG_FLAG_CASES = [
+    (("synth", "split"), ("corrupt",), "--manifest", "corpus/test.jsonl",
+     "corpus_manifest", "corpus/test.jsonl"),
+    (("synth",), ("corrupt",), "--target-wer", "0.3", "target_wer", 0.3),
+    (("synth",), ("eval-retrieval", "--mode", "gt_text"), "--k", "1,3", "k_values", [1, 3]),
+    (("synth", "split", "train"), ("noise-sweep",), "--snr", "-5,10", "snr_grid", [-5.0, 10.0]),
+    (("synth",), ("eval-generation", "--mode", "gt_text"), "--top-k-context", "2",
+     "top_k_context", 2),
+    (("synth",), ("eval-generation", "--mode", "gt_text"), "--generator-url", "URL",
+     "generator_url", "URL"),
+]
+
+
+@pytest.mark.parametrize(
+    "setup, command, flag, flag_value, field, value",
+    CONFIG_FLAG_CASES,
+    ids=[case[2] for case in CONFIG_FLAG_CASES],
+)
+def test_config_flag_equals_config_file_value(
+    workspace, http_endpoint, setup, command, flag, flag_value, field, value
+):
+    root, config = workspace
+    flag_value = http_endpoint if flag_value == "URL" else flag_value
+    value = http_endpoint if value == "URL" else value
+    for cmd in setup:
+        assert run(cmd, "--config", config) == 0
+    assert run(*command, "--config", config) == 0
+    without_flag = config_hash(root, command[0])
+
+    assert run(*command, "--config", config, flag, flag_value) == 0
+    with_flag = reports(root)
+    edited = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    edited[field] = value
+    path = root / "edited.json"
+    path.write_text(json.dumps(edited), encoding="utf-8")
+    assert run(*command, "--config", str(path)) == 0
+    assert reports(root) == with_flag
+    assert config_hash(root, command[0]) != without_flag
+
+
+def test_external_judge_calls_the_generator_url(workspace, http_server, http_endpoint):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    edited = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    edited["judge"] = "external"
+    path = root / "external.json"
+    path.write_text(json.dumps(edited), encoding="utf-8")
+    http_server.received.clear()
+    assert run("eval-generation", "--config", str(path), "--mode", "gt_text",
+               "--generator-url", http_endpoint) == 0
+    received = http_server.received
+    judged = [r for r in received if r["instruction"].startswith("You are grading")]
+    assert len(judged) == len(received) - len(judged) == 10
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(("eval-generation", "--mode", "gt_text", "--top-k-context", "0"), "top_k_context"),
+     (("eval-retrieval", "--mode", "gt_text", "--k", "10,5"), "k_values"),
+     (("eval-retrieval", "--mode", "gt_text", "--k", "0,5"), "k_values")],
+)
+def test_config_flag_out_of_bounds_is_exit_two(workspace, capsys, argv, field):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    capsys.readouterr()
+    assert run(*argv, "--config", config) == 2
+    assert field in capsys.readouterr().err
+    assert not (root / f"reports/{argv[0]}.meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("noise-sweep", "--snr-db", "5"), ("noise-sweep", "--snr", "5,x"),
+     ("eval-retrieval", "--k", "5,"), ("embed", "--mode", "gt_text,speech")],
+)
+def test_malformed_flag_is_usage_error(workspace, argv):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    assert run(*argv, "--config", config) == 1
+    assert not (root / "artifacts").exists()
+    assert not (root / f"reports/{argv[0]}.meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit", [{"judge": "foo"}, {"judge": "external"}], ids=["unknown", "external_without_url"]
+)
+def test_config_judge_is_checked_at_load(workspace, capsys, edit):
+    root, _ = workspace
+    bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    bad.update(edit)
+    path = root / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    assert run("synth", "--config", str(path)) == 2
+    assert "judge" in capsys.readouterr().err

@@ -108,6 +108,15 @@ def test_header_truncated_wav_rejected_with_value_error(tmp_path, size):
         read_wav(path)
 
 
+def test_short_data_chunk_rejected_with_value_error(tmp_path):
+    full = tmp_path / "full.wav"
+    write_wav(full, AudioSignal(np.zeros(SR), SR))
+    path = tmp_path / "cut.wav"
+    path.write_bytes(full.read_bytes()[: 44 + 2000])
+    with pytest.raises(ValueError, match="short data chunk in .*cut.wav: 1000 of 16000 samples"):
+        read_wav(path)
+
+
 # ---------------------------------------------------------------------------
 # Log-mel features
 # ---------------------------------------------------------------------------

@@ -1,9 +1,5 @@
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,38 +220,6 @@ def test_oracle_generator_hits_on_audio_reference(pipe_corpus):
     q = pipe_corpus.queries[1]
     ref = f"audio:{q.relevant_passage_id}"
     assert oracle(GenerationRequest(query=q.text, contexts=(ref,))).answer == q.gold_answer
-
-
-class _EchoHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        request = json.loads(self.rfile.read(length).decode("utf-8"))
-        if request["query"] == "boom":
-            self.send_response(500)
-            self.end_headers()
-            return
-        if request["instruction"].startswith("You are grading"):
-            answer = "1" if "same" in request["contexts"][0] else "0"
-        else:
-            answer = f"echo:{request['query']}:{len(request['contexts'])}"
-        body = json.dumps({"answer": answer}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture(scope="module")
-def http_endpoint():
-    server = HTTPServer(("127.0.0.1", 0), _EchoHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/"
-    server.shutdown()
 
 
 def test_http_generator_roundtrip(http_endpoint):
