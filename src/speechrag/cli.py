@@ -384,17 +384,17 @@ def _add_common(sub):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="speechrag", description=__doc__)
+    parser = _Parser(prog="speechrag", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name in ("synth", "split", "train"):
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, allow_abbrev=False)
         _add_common(sub)
 
     for name in ("embed", "index", "search", "eval-retrieval", "noise-sweep",
                  "corrupt", "eval-generation", "gradcheck"):
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, allow_abbrev=False)
         _add_common(sub)
         if name == "eval-retrieval":
             sub.add_argument("--mode", default="speech",

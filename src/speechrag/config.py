@@ -89,19 +89,30 @@ class RunConfig:
 _type_hints = functools.cache(typing.get_type_hints)
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value (lists already made tuples) fits a field type.
-    An int fits a float field; a bool fits no number."""
+def _as_declared(value, hint):
+    """A JSON value (lists already made tuples) as a value of the field type
+    `hint`. An int given for a float becomes a float, so that 0 and 0.0
+    resolve, and hash, the same; a bool fits no number. Raises TypeError,
+    or OverflowError for an int no float holds, when the value does not fit."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if args[-1] is Ellipsis and isinstance(value, tuple):
             args = args[:1] * len(value)
-        return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, value, args))
-    if args:  # a union, such as str | None
-        return any(_fits(value, arg) for arg in args)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+        if not isinstance(value, tuple) or len(value) != len(args):
+            raise TypeError
+        return tuple(map(_as_declared, value, args))
+    for arg in args:  # a union, such as str | None
+        try:
+            return _as_declared(value, arg)
+        except (TypeError, OverflowError):
+            pass
+    if args or (isinstance(value, bool) and hint is not bool):
+        raise TypeError
+    if hint is float and isinstance(value, int):
+        return float(value)
+    if not isinstance(value, hint):
+        raise TypeError
+    return value
 
 
 def _build_section(cls, data, seed: int, section: str):
@@ -120,10 +131,14 @@ def _build_section(cls, data, seed: int, section: str):
         values.setdefault("seed", seed)
     sections = [f.name for f in fields(cls) if is_dataclass(hints[f.name])]
     for name, value in values.items():
-        if name not in sections and not _fits(value, hints[name]):
-            hint = hints[name]
+        if name in sections:
+            continue
+        hint = hints[name]
+        try:
+            values[name] = _as_declared(value, hint)
+        except (TypeError, OverflowError):
             type_name = hint.__name__ if typing.get_origin(hint) is None else str(hint)
-            raise ValueError(f"{section}.{name} must be {type_name}, got {value!r}")
+            raise ValueError(f"{section}.{name} must be {type_name}, got {value!r}") from None
     for name in sections:
         values[name] = _build_section(
             hints[name], values.get(name, {}), values.get("seed", seed), f"{section}.{name}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -137,14 +138,41 @@ def load_manifest(path) -> Corpus:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = _decode_line(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict) or "kind" not in record:
                 raise ManifestError(f"line {lineno}: record has no 'kind' field")
             kind = record["kind"]
             if kind == "passage":
-                passage, rate = _parse_passage(record, lineno, base_dir)
+                # The first missing field, in this order, names the error.
+                try:
+                    pid, audio, transcript = record["id"], record["audio"], record["transcript"]
+                except KeyError as exc:
+                    raise ManifestError(
+                        f"line {lineno}: passage record missing {exc.args[0]!r}"
+                    ) from None
+                if not transcript:
+                    raise ManifestError(f"line {lineno}: passage {pid!r} has empty transcript")
+                # Header-only read: samples stay lazy, but rate and duration are checked now.
+                audio_file = os.path.join(base_dir, audio)
+                try:
+                    fd = os.open(audio_file, os.O_RDONLY)
+                    try:
+                        rate, n_frames, *_ = _wav_header(fd, audio_file)
+                    finally:
+                        os.close(fd)
+                except (FileNotFoundError, NotADirectoryError):
+                    raise ManifestError(
+                        f"line {lineno}: audio file not found: {Path(base_dir) / audio}"
+                    ) from None
+                except ValueError as exc:
+                    raise ManifestError(
+                        f"line {lineno}: unreadable WAV {Path(base_dir) / audio}: {exc}"
+                    ) from exc
+                if n_frames == 0:
+                    raise ManifestError(f"line {lineno}: passage {pid!r} has zero-duration audio")
+                passage = Passage(id=str(pid), transcript=str(transcript), audio_path=str(audio))
                 if passage.id in seen_ids:
                     raise ManifestError(f"line {lineno}: duplicate passage id {passage.id!r}")
                 seen_ids.add(passage.id)
@@ -157,7 +185,15 @@ def load_manifest(path) -> Corpus:
                     )
                 passages.append(passage)
             elif kind == "query":
-                queries.append(_parse_query(record, lineno))
+                try:
+                    text, answer, pid = record["text"], record["answer"], record["passage_id"]
+                except KeyError as exc:
+                    raise ManifestError(
+                        f"line {lineno}: query record missing {exc.args[0]!r}"
+                    ) from None
+                queries.append(
+                    Query(text=str(text), gold_answer=str(answer), relevant_passage_id=str(pid))
+                )
             else:
                 raise ManifestError(f"line {lineno}: unknown record kind {kind!r}")
     corpus = Corpus(
@@ -170,43 +206,25 @@ def load_manifest(path) -> Corpus:
     return corpus
 
 
-def _parse_passage(record: dict, lineno: int, base_dir: str) -> tuple[Passage, int]:
-    for field in ("id", "audio", "transcript"):
-        if field not in record:
-            raise ManifestError(f"line {lineno}: passage record missing {field!r}")
-    if not record["transcript"]:
-        raise ManifestError(f"line {lineno}: passage {record['id']!r} has empty transcript")
-    # Header-only read: samples stay lazy, but rate and duration are checked now.
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _decode_line(line: str):
+    """json.loads(line) for a stripped, nonempty line, with the same value
+    and the same JSONDecodeError, but without json.loads's whitespace scans
+    (a stripped line has no JSON whitespace at either end)."""
     try:
-        with open(os.path.join(base_dir, record["audio"]), "rb", buffering=0) as fh:
-            rate, n_frames, *_ = _wav_header(fh)
-    except (FileNotFoundError, NotADirectoryError):
-        raise ManifestError(
-            f"line {lineno}: audio file not found: {Path(base_dir) / record['audio']}"
-        ) from None
-    except ValueError as exc:
-        raise ManifestError(
-            f"line {lineno}: unreadable WAV {Path(base_dir) / record['audio']}: {exc}"
-        ) from exc
-    if n_frames == 0:
-        raise ManifestError(f"line {lineno}: passage {record['id']!r} has zero-duration audio")
-    passage = Passage(
-        id=str(record["id"]),
-        transcript=str(record["transcript"]),
-        audio_path=str(record["audio"]),
-    )
-    return passage, rate
-
-
-def _parse_query(record: dict, lineno: int) -> Query:
-    for field in ("text", "answer", "passage_id"):
-        if field not in record:
-            raise ManifestError(f"line {lineno}: query record missing {field!r}")
-    return Query(
-        text=str(record["text"]),
-        gold_answer=str(record["answer"]),
-        relevant_passage_id=str(record["passage_id"]),
-    )
+        value, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        if line.startswith("\ufeff"):
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+            ) from None
+        raise
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, _JSON_SPACE.match(line, end).end())
+    return value
 
 
 def save_manifest(corpus: Corpus, path) -> None:

@@ -7,6 +7,7 @@ taken), so batches may be processed in parallel without coordination.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,6 +17,9 @@ import numpy as np
 PCM_SCALE = 32768.0
 _WAV_HEAD_BYTES = 256  # one read covers write_wav's header and a few small chunks
 _WAVE_FORMAT_PCM = 0x0001
+# write_wav's 44-byte layout: RIFF, size, WAVE, a 16-byte fmt chunk (byte
+# rate and block align skipped), then the data chunk's id and size.
+_PCM_HEADER = struct.Struct("<4sI8sIHHI6xH4sI")
 
 
 @dataclass(frozen=True)
@@ -87,19 +91,40 @@ class FeatureMatrix:
         return self.data.shape[0]
 
 
-def _wav_header(fh) -> tuple[int, int, int, int, int]:
-    """(sample rate, frame count, channels, sample width, data offset) of an
-    open WAV file. Walks the RIFF chunks with the checks wave.open makes:
-    RIFF/WAVE magic, a PCM fmt chunk with nonzero sample width and channels
-    before the data chunk, other chunks skipped with their odd-size pad
-    byte, all bounded by the RIFF size. Raises ValueError on a bad header."""
-    head = fh.read(_WAV_HEAD_BYTES)
+def _wav_header(fd: int, path) -> tuple[int, int, int, int, int]:
+    """(sample rate, frame count, channels, sample width, data offset) of the
+    WAV file open as descriptor `fd`. One read covers the header; a file in
+    write_wav's 44-byte layout is recognised with one unpack, and any other
+    goes through the RIFF chunk walk. Raises ValueError on a bad header and
+    an OSError naming `path` when the first read fails (a directory opens,
+    then fails to read)."""
+    try:
+        head = os.pread(fd, _WAV_HEAD_BYTES, 0)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    if len(head) >= _PCM_HEADER.size:
+        riff, riff_size, wave_fmt, fmt_size, tag, channels, rate, bits, data, size = (
+            _PCM_HEADER.unpack_from(head)
+        )
+        # The walk would check the same fields and reach `data` at byte 36.
+        if (riff == b"RIFF" and wave_fmt == b"WAVEfmt " and fmt_size == 16 and data == b"data"
+                and riff_size >= 36 and tag == _WAVE_FORMAT_PCM and channels and bits):
+            sample_width = (bits + 7) // 8
+            return rate, size // (channels * sample_width), channels, sample_width, _PCM_HEADER.size
+    return _walk_riff(fd, head)
+
+
+def _walk_riff(fd: int, head: bytes) -> tuple[int, int, int, int, int]:
+    """_wav_header for any layout, given the file's first bytes. Walks the
+    RIFF chunks with the checks wave.open makes: RIFF/WAVE magic, a PCM fmt
+    chunk with nonzero sample width and channels before the data chunk,
+    other chunks skipped with their odd-size pad byte, all bounded by the
+    RIFF size."""
 
     def read_at(offset: int, n: int) -> bytes:
         if offset + n <= len(head):
             return head[offset : offset + n]
-        fh.seek(offset)
-        return fh.read(n)
+        return os.pread(fd, n, offset)
 
     if len(head) < 12:
         raise ValueError(f"truncated header ({len(head)} bytes)")
@@ -140,17 +165,19 @@ def _wav_header(fh) -> tuple[int, int, int, int, int]:
 
 def read_wav(path) -> AudioSignal:
     """Read a PCM16 mono WAV file. int16 -> float by division by 32768."""
-    with open(path, "rb", buffering=0) as fh:
+    fd = os.open(path, os.O_RDONLY)
+    try:
         try:
-            sample_rate, n_frames, n_channels, sampwidth, offset = _wav_header(fh)
+            sample_rate, n_frames, n_channels, sampwidth, offset = _wav_header(fd, path)
         except ValueError as exc:
             raise ValueError(f"corrupt or unsupported WAV file {path}: {exc}") from exc
         if n_channels != 1:
             raise ValueError(f"unsupported channel count {n_channels} in {path}: mono required")
         if sampwidth != 2:
             raise ValueError(f"unsupported sample width {sampwidth} in {path}: PCM16 required")
-        fh.seek(offset)
-        raw = fh.read(2 * n_frames)
+        raw = os.pread(fd, 2 * n_frames, offset)
+    finally:
+        os.close(fd)
     if len(raw) < 2 * n_frames:
         raise ValueError(f"short data chunk in {path}: {len(raw) // 2} of {n_frames} samples")
     ints = np.frombuffer(raw, dtype="<i2")

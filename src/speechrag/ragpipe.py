@@ -55,19 +55,35 @@ class PipelineMode(str, Enum):
 
 
 def _levenshtein(ref: list[str], hyp: list[str]) -> int:
-    if len(ref) < len(hyp):
-        ref, hyp = hyp, ref
-    previous = list(range(len(hyp) + 1))
-    for i, r in enumerate(ref, start=1):
-        current = [i] + [0] * len(hyp)
-        for j, h in enumerate(hyp, start=1):
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (r != h),
-            )
-        previous = current
-    return previous[len(hyp)]
+    """Word-level edit distance (unit costs) by the bit-parallel recurrence
+    of Myers (1999) in Hyyro's (2003) form: bit i of `pv` / `mv` says that
+    row i+1 of the current DP column is one more / one less than row i, and
+    `score` follows the last row. A fixed number of operations on
+    len(ref)-bit ints per hypothesis word replaces a pass over every cell."""
+    if not ref:
+        return len(hyp)
+    peq: dict[str, int] = {}
+    for i, word in enumerate(ref):
+        peq[word] = peq.get(word, 0) | (1 << i)
+    full = (1 << len(ref)) - 1
+    last = 1 << (len(ref) - 1)
+    pv, mv, score = full, 0, len(ref)
+    for word in hyp:
+        eq = peq.get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # Row 0 of each column is one more than in the last: shift a 1 in.
+        ph = ((ph << 1) | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (~(xv | ph) & full)
+        mv = ph & xv
+    return score
 
 
 def wer(reference: str, hypothesis: str) -> float:

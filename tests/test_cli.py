@@ -214,7 +214,8 @@ def test_gradcheck_with_impossible_architecture_is_exit_two(workspace, capsys):
     [({"hidden_dim": "64"}, "config.hidden_dim"), ({"train": {"lr": "0.1"}}, "config.train.lr"),
      ({"target_wer": True}, "config.target_wer"), ({"k_values": [5, 10.0]}, "config.k_values"),
      ({"synth": {"words_per_passage": [5]}}, "config.synth.words_per_passage"),
-     ({"feature": 40}, "config.feature"), ({"seed": "3"}, "config.seed")],
+     ({"feature": 40}, "config.feature"), ({"seed": "3"}, "config.seed"),
+     ({"target_wer": 10**400}, "config.target_wer")],
 )
 def test_config_value_of_wrong_type_is_exit_two(workspace, capsys, edit, field):
     root, _ = workspace
@@ -237,6 +238,14 @@ def test_config_types_accept_ints_for_floats_and_lists_for_tuples(tmp_path):
     assert config.snr_grid == (5, 7.5)
     assert config.synth.words_per_passage == (3, 4)
     assert config.generator_url is None
+    # An int given for a float is stored as one: both spellings hash alike.
+    assert type(config.train.lr) is type(config.target_wer) is type(config.snr_grid[0]) is float
+    spelled_as_floats = load_config(None, {"train": {"lr": 1.0}, "target_wer": 0.0,
+                                           "snr_grid": [5.0, 7.5], "synth": {"words_per_passage": [3, 4]}})
+    assert config.resolved() == spelled_as_floats.resolved()
+    assert config.config_hash() == spelled_as_floats.config_hash()
+    assert load_config(None, {"target_wer": 0}).config_hash() == (
+        load_config(None, {"target_wer": 0.0}).config_hash())
 
 
 def write_checkpoint_with_metadata(path, edit) -> None:
@@ -303,6 +312,17 @@ def test_seed_flag_overrides_config(workspace):
     first = (root / "corpus/manifest.jsonl").read_text()
     assert run("synth", "--config", config, "--seed", "10") == 0
     assert (root / "corpus/manifest.jsonl").read_text() != first
+
+
+def test_passage_audio_that_is_a_directory_is_exit_two(workspace, capsys):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    wav = sorted((root / "corpus/audio").glob("*.wav"))[3]
+    wav.unlink()
+    wav.mkdir()
+    capsys.readouterr()
+    assert run("split", "--config", config) == 2
+    assert str(wav) in capsys.readouterr().err
 
 
 def test_train_on_cut_wav_is_exit_two(workspace, capsys):
@@ -401,7 +421,9 @@ def test_config_flag_out_of_bounds_is_exit_two(workspace, capsys, argv, field):
 @pytest.mark.parametrize(
     "argv",
     [("noise-sweep", "--snr-db", "5"), ("noise-sweep", "--snr", "5,x"),
-     ("eval-retrieval", "--k", "5,"), ("embed", "--mode", "gt_text,speech")],
+     ("eval-retrieval", "--k", "5,"), ("embed", "--mode", "gt_text,speech"),
+     # Prefixes of --snr-db and --top-k-context: no flag is abbreviated.
+     ("eval-retrieval", "--snr", "5"), ("eval-generation", "--top", "3")],
 )
 def test_malformed_flag_is_usage_error(workspace, argv):
     root, config = workspace

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
 import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechrag.corpus import (
     Corpus,
     ManifestError,
+    _decode_line,
     Passage,
     Query,
     SynthParams,
@@ -23,7 +26,7 @@ from speechrag.corpus import (
     synth_corpus,
     validate_corpus,
 )
-from speechrag.dsp import AudioSignal, _wav_header, read_wav, write_wav
+from speechrag.dsp import AudioSignal, _walk_riff, _wav_header, read_wav, write_wav
 
 SR = 16000
 
@@ -184,8 +187,11 @@ def header_via_wave(path) -> tuple[int, int]:
 
 
 def header_via_walk(path) -> tuple[int, int]:
-    with open(path, "rb", buffering=0) as fh:
-        return _wav_header(fh)[:2]
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return _wav_header(fd, path)[:2]
+    finally:
+        os.close(fd)
 
 
 @pytest.mark.parametrize("seconds, sr", [(0.2, SR), (0.0625, 8000), (1.37, 22050)])
@@ -199,6 +205,80 @@ def test_wav_header_matches_wave_on_hand_built_files(tmp_path, name):
     path = tmp_path / f"{name}.wav"
     path.write_bytes(WAV_VARIANTS[name])
     assert header_via_walk(path) == header_via_wave(path)
+
+
+# write_wav's 44-byte header, field by field, and values that move each
+# field off the layout the one-unpack path accepts.
+PCM_FIELDS = (
+    ("riff", "4s", b"RIFF", st.sampled_from([b"RIFX", b"RIFF", b"riff"])),
+    ("riff_size", "I", 36 + 200, st.sampled_from([0, 4, 11, 12, 27, 28, 35, 36, 37, 2**32 - 1])
+     | st.integers(0, 2**32 - 1)),
+    ("wave", "4s", b"WAVE", st.sampled_from([b"AVI ", b"WAVE"])),
+    ("fmt_id", "4s", b"fmt ", st.sampled_from([b"fmt\0", b"LIST", b"data"])),
+    ("fmt_size", "I", 16, st.sampled_from([0, 13, 14, 15, 16, 17, 18, 40]) | st.integers(0, 2**32 - 1)),
+    ("tag", "H", 1, st.sampled_from([0, 1, 3, 0xFFFE]) | st.integers(0, 2**16 - 1)),
+    ("channels", "H", 1, st.sampled_from([0, 1, 2]) | st.integers(0, 2**16 - 1)),
+    ("rate", "I", SR, st.sampled_from([8000, 44100]) | st.integers(0, 2**32 - 1)),
+    ("byte_rate", "I", 2 * SR, st.integers(0, 2**32 - 1)),
+    ("block_align", "H", 2, st.integers(0, 2**16 - 1)),
+    ("bits", "H", 16, st.sampled_from([0, 1, 7, 8, 9, 24]) | st.integers(0, 2**16 - 1)),
+    ("data_id", "4s", b"data", st.sampled_from([b"dat\0", b"LIST", b"fmt ", b"DATA"])),
+    ("data_size", "I", 200, st.sampled_from([0, 1, 3, 199, 200, 2**32 - 1])
+     | st.integers(0, 2**32 - 1)),
+)
+PCM_FORMAT = "<" + "".join(code for _, code, _, _ in PCM_FIELDS)
+
+
+def header_or_error(read_header):
+    try:
+        return read_header()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_pcm_fields_spell_write_wav_header(tmp_path):
+    write_wav(tmp_path / "a.wav", AudioSignal(np.zeros(100), SR))
+    defaults = [default for _, _, default, _ in PCM_FIELDS]
+    assert (tmp_path / "a.wav").read_bytes()[:44] == struct.pack(PCM_FORMAT, *defaults)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mutations=st.lists(
+        st.one_of(*[st.tuples(st.just(i), values) for i, (_, _, _, values) in enumerate(PCM_FIELDS)]),
+        max_size=3,
+    ),
+    length=st.none() | st.integers(43, 256),
+    tail=st.binary(min_size=256, max_size=256),
+)
+@example(mutations=[], length=None, tail=bytes(256))
+@example(mutations=[(1, 35)], length=None, tail=bytes(256))
+@example(mutations=[(4, 18)], length=None, tail=bytes(256))
+@example(mutations=[], length=43, tail=bytes(256))
+def test_one_unpack_header_equals_chunk_walk(mutations, length, tail):
+    fields = [default for _, _, default, _ in PCM_FIELDS]
+    for index, value in mutations:
+        fields[index] = value
+    data = struct.pack(PCM_FORMAT, *fields) + tail
+    data = data[: 44 + 200 if length is None else length]
+    with tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.flush()
+        fd = fh.fileno()
+        got = header_or_error(lambda: _wav_header(fd, "x.wav"))
+        walked = header_or_error(lambda: _walk_riff(fd, os.pread(fd, 256, 0)))
+    assert got == walked
+
+
+def test_header_of_a_directory_names_it(tmp_path):
+    fd = os.open(tmp_path, os.O_RDONLY)
+    try:
+        with pytest.raises(IsADirectoryError, match=str(tmp_path)):
+            _wav_header(fd, tmp_path)
+    finally:
+        os.close(fd)
+    with pytest.raises(IsADirectoryError, match=str(tmp_path)):
+        read_wav(tmp_path)
 
 
 def read_via_wave(path):
@@ -251,6 +331,111 @@ def test_malformed_wav_rejected_with_line_number(tmp_path, name):
     # for a chunk past the RIFF size, a RuntimeError.
     with pytest.raises((wave.Error, EOFError, RuntimeError)):
         header_via_wave(tmp_path / "audio" / "bad.wav")
+
+
+def test_manifest_of_wav_variants_loads_to_the_expected_corpus(tmp_path):
+    """Each hand-built layout, one-unpack or walked, loads to the corpus
+    that its records and wave.open describe."""
+    (tmp_path / "audio").mkdir()
+    by_rate: dict[int, list[dict]] = {}
+    for name, data in sorted(WAV_VARIANTS.items()):
+        (tmp_path / "audio" / f"{name}.wav").write_bytes(data)
+        rate = header_via_wave(tmp_path / "audio" / f"{name}.wav")[0]
+        by_rate.setdefault(rate, []).append(
+            {"kind": "passage", "id": name, "audio": f"audio/{name}.wav", "transcript": name}
+        )
+    for rate, records in by_rate.items():
+        records = records + [{"kind": "query", "text": "q", "answer": 7, "passage_id": records[0]["id"]}]
+        path = write_manifest(tmp_path, records)
+        expected = Corpus(
+            passages=tuple(
+                Passage(id=r["id"], transcript=r["transcript"], audio_path=r["audio"])
+                for r in records[:-1]
+            ),
+            queries=(Query(text="q", gold_answer="7", relevant_passage_id=records[0]["id"]),),
+            sample_rate=rate,
+            base_dir=str(tmp_path),
+        )
+        assert load_manifest(path) == expected
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"kind": "passage", "audio": "audio/a.wav"}, "line 2: passage record missing 'id'"),
+        ({"kind": "passage", "id": "p2", "transcript": "x"}, "line 2: passage record missing 'audio'"),
+        ({"kind": "passage", "id": "p2", "audio": "audio/a.wav"},
+         "line 2: passage record missing 'transcript'"),
+        ({"kind": "passage", "id": "p2", "audio": "audio/none.wav", "transcript": ""},
+         "line 2: passage 'p2' has empty transcript"),
+        ({"kind": "passage", "id": "p2", "audio": "audio/empty.wav", "transcript": "x"},
+         "line 2: passage 'p2' has zero-duration audio"),
+        ({"kind": "passage", "id": "p1", "audio": "audio/a.wav", "transcript": "x"},
+         "line 2: duplicate passage id 'p1'"),
+        ({"kind": "passage", "id": "p2", "audio": "audio/slow.wav", "transcript": "x"},
+         "line 2: sample rate 8000 does not match corpus rate 16000"),
+        ({"kind": "query", "answer": "a", "passage_id": "p1"}, "line 2: query record missing 'text'"),
+        ({"kind": "query", "text": "t", "passage_id": "p1"}, "line 2: query record missing 'answer'"),
+        ({"kind": "query", "text": "t", "answer": "a"}, "line 2: query record missing 'passage_id'"),
+        ({"kind": "other"}, "line 2: unknown record kind 'other'"),
+        ([1, 2], "line 2: record has no 'kind' field"),
+    ],
+)
+def test_record_errors_name_line_and_field(tmp_path, record, message):
+    a = make_wav(tmp_path, "a.wav")
+    make_wav(tmp_path, "slow.wav", sr=8000)
+    write_wav(tmp_path / "audio" / "empty.wav", AudioSignal(np.zeros(0), SR))
+    path = write_manifest(
+        tmp_path, [{"kind": "passage", "id": "p1", "audio": a, "transcript": "x"}, record]
+    )
+    with pytest.raises(ManifestError) as info:
+        load_manifest(path)
+    assert str(info.value) == message
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# JSON whitespace, other Unicode whitespace that str.strip removes, and a BOM.
+SPACES = st.text(alphabet=" \t\r\n\x0b\x0c\x85\xa0\u3000\ufeff", max_size=3)
+
+
+def loads_or_error(decode, line):
+    try:
+        return "value", repr(decode(line))
+    except json.JSONDecodeError as exc:
+        return "error", str(exc), exc.pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    line=st.one_of(
+        st.text(max_size=30),
+        st.tuples(SPACES, JSON_VALUES.map(json.dumps), SPACES, st.text(max_size=4)).map("".join),
+    )
+)
+@example(line="{} x")
+@example(line='{"a": 1}\t\r ,')
+@example(line="\ufeff{}")
+@example(line="[1] [2]")
+def test_line_decoder_equals_json_loads(line):
+    line = line.strip()
+    if not line:
+        return
+    assert loads_or_error(_decode_line, line) == loads_or_error(json.loads, line)
+
+
+@pytest.mark.parametrize("text", ["{} x", '{"kind": "query"} ]', "\ufeff{}", "nul", "[1,]"])
+def test_invalid_json_line_message_equals_json_loads(tmp_path, text):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n" + text + "\n", encoding="utf-8")
+    with pytest.raises(ManifestError) as info:
+        load_manifest(path)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    assert str(info.value) == f"line 2: invalid JSON: {expected.value}"
 
 
 def test_duplicate_passage_id_rejected(tmp_path):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechrag.corpus import SynthParams, corpus_words, synth_corpus
@@ -15,6 +15,7 @@ from speechrag.ragpipe import (
     MockJudge,
     OracleGenerator,
     PipelineMode,
+    _levenshtein,
     corpus_wer,
     corrupt_transcript,
     eval_generation,
@@ -86,12 +87,22 @@ def test_wer_empty_reference_rejected():
         wer("!!!", "anything")
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.sampled_from(["a", "b", "c", "dd"]), min_size=1, max_size=8),
-       st.lists(st.sampled_from(["a", "b", "c", "dd"]), min_size=0, max_size=8))
+WORDS = st.lists(st.sampled_from(["a", "b", "c", "dd"]), max_size=150)
+LONG = ["a", "b", "c", "dd", "a", "a", "c"] * 20  # 140 words: three 64-bit words
+
+
+@settings(max_examples=150, deadline=None)
+@given(WORDS, WORDS)
+@example(LONG, LONG[3:] + ["b"] * 9)
+@example(LONG, [])
+@example([], LONG[:70])
+@example(["a"], [])
 def test_wer_matches_dp_oracle(ref_words, hyp_words):
-    got = wer(" ".join(ref_words), " ".join(hyp_words))
-    assert got == pytest.approx(reference_edit_distance(ref_words, hyp_words) / len(ref_words))
+    expected = reference_edit_distance(ref_words, hyp_words)
+    assert _levenshtein(ref_words, hyp_words) == expected
+    if ref_words:
+        got = wer(" ".join(ref_words), " ".join(hyp_words))
+        assert got == pytest.approx(expected / len(ref_words))
 
 
 def test_corpus_wer_micro_average():
