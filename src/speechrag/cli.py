@@ -3,12 +3,12 @@
 Subcommands cover the full experiment cycle: ``synth``, ``split``, ``train``,
 ``embed``, ``index``, ``search``, ``eval-retrieval``, ``noise-sweep``,
 ``corrupt``, ``eval-generation``, ``gradcheck``. A single JSON config file
-(--config) drives everything. A flag that names a config field (the names in
-CONFIG_FLAGS) is an override that load_config applies over the file. Every
-run writes a metadata record (resolved config with those overrides, config
-hash, seed, versions), so reports are reproducible byte-for-byte from it.
---mode, --query, search's --k, --snr-db, --probes and --eps are
-per-invocation inputs, not config, and are not recorded.
+(--config) drives everything. FLAGS declares each subcommand's flags. A flag
+whose argparse dest is a RunConfig field overrides that field over the file.
+Every run writes a metadata record (resolved config with those overrides,
+config hash, seed, versions), so reports are reproducible byte-for-byte from
+it. The other flags (--mode, --query, search's --k, --snr-db, --probes and
+--eps) are per-invocation inputs, not config, and are not recorded.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -67,13 +69,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_modes(value: str) -> list[PipelineMode]:
-    modes = []
-    for token in value.split(","):
-        token = token.strip()
-        if token not in MODE_ALIASES:
-            raise ValueError(f"unknown mode {token!r} (choose from {sorted(MODE_ALIASES)})")
-        modes.append(MODE_ALIASES[token])
+def _mode(value: str) -> PipelineMode:
+    """One pipeline mode by name: the --mode of single-mode commands."""
+    if value not in MODE_ALIASES:
+        raise argparse.ArgumentTypeError(
+            f"unknown mode {value!r} (choose from {sorted(MODE_ALIASES)})")
+    return MODE_ALIASES[value]
+
+
+def _modes(value: str) -> tuple[PipelineMode, ...]:
+    """A comma list of distinct pipeline modes: eval-retrieval's --mode."""
+    modes = tuple(_mode(token.strip()) for token in value.split(","))
+    if len(set(modes)) != len(modes):
+        raise argparse.ArgumentTypeError(f"mode repeated in {value!r}")
     return modes
 
 
@@ -209,7 +217,7 @@ def cmd_train(config: RunConfig, args) -> int:
 
 
 def cmd_embed(config: RunConfig, args) -> int:
-    mode = MODE_ALIASES[args.mode]
+    mode = args.mode
     corpus = load_manifest(config.path(config.corpus_manifest))
     model, corruption = _mode_inputs(config, corpus, mode)
     pairs, _ = passage_embeddings(corpus, mode, model, corruption=corruption, snr_db=args.snr_db)
@@ -220,18 +228,16 @@ def cmd_embed(config: RunConfig, args) -> int:
 
 
 def cmd_index(config: RunConfig, args) -> int:
-    mode = MODE_ALIASES[args.mode]
-    ids, matrix = load_embeddings(config.path(config.embeddings_path, mode=mode.value))
+    ids, matrix = load_embeddings(config.path(config.embeddings_path, mode=args.mode.value))
     idx = build_index(zip(ids, matrix))
-    out = config.path(config.index_path, mode=mode.value)
+    out = config.path(config.index_path, mode=args.mode.value)
     save(idx, out)
     print(f"indexed {len(idx)} vectors of dim {idx.dim} at {out}")
     return 0
 
 
 def cmd_search(config: RunConfig, args) -> int:
-    mode = MODE_ALIASES[args.mode]
-    idx = load_index(config.path(config.index_path, mode=mode.value))
+    idx = load_index(config.path(config.index_path, mode=args.mode.value))
     corpus = load_manifest(config.path(config.corpus_manifest))
     model = _model_for(config, corpus, PipelineMode.GT_TEXT)
     result = search(idx, model.embed_text(args.query), args.k)
@@ -244,7 +250,7 @@ def cmd_eval_retrieval(config: RunConfig, args) -> int:
     corpus = load_manifest(config.path(config.corpus_manifest))
     header = ["mode", "passage_wer"] + [f"recall@{k}" for k in config.k_values]
     rows = []
-    for mode in _parse_modes(args.mode):
+    for mode in args.mode:
         model, corruption = _mode_inputs(config, corpus, mode)
         report = retrieval_run(
             corpus, mode, model, k_values=config.k_values, corruption=corruption, snr_db=args.snr_db
@@ -313,7 +319,7 @@ def cmd_corrupt(config: RunConfig, args) -> int:
 
 def cmd_eval_generation(config: RunConfig, args) -> int:
     corpus = load_manifest(config.path(config.corpus_manifest))
-    mode = MODE_ALIASES[args.mode]
+    mode = args.mode
     model, corruption = _mode_inputs(config, corpus, mode)
     url, timeout_s = config.generator_url, config.generator_timeout_s
     traces = run_pipeline(
@@ -377,64 +383,59 @@ def cmd_gradcheck(config: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="path to JSON config")
-    sub.add_argument("--seed", type=int, help="override the global seed")
-    sub.add_argument("--data-dir", dest="data_dir", help="override the data root")
+_COMMON = (("--config", dict(help="path to JSON config")),
+           ("--seed", dict(type=int, help="override the global seed")),
+           ("--data-dir", dict(dest="data_dir", help="override the data root")))
+_MODE = ("--mode", dict(type=_mode, default="speech", help=f"one mode from {sorted(MODE_ALIASES)}"))
+_MODES = ("--mode", dict(type=_modes, default="speech",
+                         help=f"comma list of distinct modes from {sorted(MODE_ALIASES)}"))
+_MANIFEST = ("--manifest", dict(dest="corpus_manifest",
+                                help="manifest to evaluate (overrides corpus_manifest)"))
+_TARGET_WER = ("--target-wer", dict(dest="target_wer", type=float,
+                                    help="corruption target WER (overrides target_wer)"))
+_SNR_DB = ("--snr-db", dict(dest="snr_db", type=float, help="add Gaussian noise at this SNR in dB"))
+
+# Each subcommand's flags, as (flag, add_argument keywords). A flag whose
+# dest is a RunConfig field overrides that field (see main).
+FLAGS = {
+    "synth": _COMMON,
+    "split": _COMMON,
+    "train": _COMMON,
+    "embed": (*_COMMON, _MODE, _MANIFEST, _TARGET_WER, _SNR_DB),
+    "index": (*_COMMON, _MODE),
+    "search": (*_COMMON, _MODE, _MANIFEST, ("--query", dict(required=True)),
+               ("--k", dict(type=int, default=5))),
+    "eval-retrieval": (*_COMMON, _MODES, _MANIFEST, _TARGET_WER, _SNR_DB,
+                       ("--k", dict(dest="k_values", type=int_list,
+                                    help="comma list of recall cutoffs (overrides k_values)"))),
+    "noise-sweep": (*_COMMON, _MANIFEST, _TARGET_WER,
+                    ("--snr", dict(dest="snr_grid", type=float_list,
+                                   help="comma list of SNR values in dB (overrides snr_grid)"))),
+    "corrupt": (*_COMMON, _MANIFEST, _TARGET_WER),
+    "eval-generation": (
+        *_COMMON, _MODE, _MANIFEST, _TARGET_WER,
+        ("--top-k-context", dict(dest="top_k_context", type=int,
+                                 help="retrieved contexts per query (overrides top_k_context)")),
+        ("--generator-url", dict(dest="generator_url",
+                                 help="generator and judge endpoint (overrides generator_url)"))),
+    "gradcheck": (*_COMMON,
+                  ("--probes", dict(type=int, default=5, help="random scalar probes per tensor")),
+                  ("--eps", dict(type=float, default=1e-4, help="central-difference step"))),
+}
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser. It holds only `command`'s subparser when `command`
+    names one, and every subparser otherwise (for --help or an error)."""
     parser = _Parser(prog="speechrag", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("synth", "split", "train"):
+    for name in (command,) if command in FLAGS else FLAGS:
         sub = subs.add_parser(name, allow_abbrev=False)
-        _add_common(sub)
-
-    for name in ("embed", "index", "search", "eval-retrieval", "noise-sweep",
-                 "corrupt", "eval-generation", "gradcheck"):
-        sub = subs.add_parser(name, allow_abbrev=False)
-        _add_common(sub)
-        if name == "eval-retrieval":
-            sub.add_argument("--mode", default="speech",
-                             help=f"comma list of pipeline modes from {sorted(MODE_ALIASES)}")
-        elif name in ("embed", "index", "search", "eval-generation"):
-            sub.add_argument("--mode", default="speech", choices=sorted(MODE_ALIASES))
-        if name in ("embed", "search", "eval-retrieval", "noise-sweep", "corrupt", "eval-generation"):
-            sub.add_argument("--manifest", dest="corpus_manifest",
-                             help="manifest to evaluate (overrides corpus_manifest)")
-            sub.add_argument("--target-wer", dest="target_wer", type=float,
-                             help="corruption target WER for cascaded mode (overrides target_wer)")
-        if name in ("embed", "eval-retrieval"):
-            sub.add_argument("--snr-db", dest="snr_db", type=float,
-                             help="add Gaussian noise to passage audio at this SNR")
-        if name == "search":
-            sub.add_argument("--query", required=True)
-            sub.add_argument("--k", type=int, default=5)
-        if name == "eval-retrieval":
-            sub.add_argument("--k", dest="k_values", type=int_list,
-                             help="comma list of recall cutoffs (overrides k_values)")
-        if name == "noise-sweep":
-            sub.add_argument("--snr", dest="snr_grid", type=float_list,
-                             help="comma list of SNR values in dB (overrides snr_grid)")
-        if name == "eval-generation":
-            sub.add_argument("--top-k-context", dest="top_k_context", type=int,
-                             help="retrieved contexts per query (overrides top_k_context)")
-            sub.add_argument("--generator-url", dest="generator_url",
-                             help="external generator and judge endpoint (overrides generator_url)")
-        if name == "gradcheck":
-            sub.add_argument("--probes", type=int, default=5,
-                             help="random scalar probes per tensor")
-            sub.add_argument("--eps", type=float, default=1e-4,
-                             help="central-difference step")
+        for flag, keywords in FLAGS[name]:
+            sub.add_argument(flag, **keywords)
     return parser
 
-
-# Flags whose argparse dest names a RunConfig field: load_config applies
-# them over the file, so the metadata record and hash include them.
-CONFIG_FLAGS = ("seed", "data_dir", "corpus_manifest", "target_wer", "k_values", "snr_grid",
-                "top_k_context", "generator_url")
 
 COMMANDS = {
     "synth": cmd_synth,
@@ -452,31 +453,29 @@ COMMANDS = {
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """Fold values like ``--snr -5,0,10`` into ``--snr=-5,0,10`` so argparse
-    does not mistake leading-minus values for option names."""
-    out = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--snr", "--snr-db", "--target-wer") and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            skip = True
+    """Fold ``--snr -5,0,10`` into ``--snr=-5,0,10``: a token that is ``-`` then
+    a digit or ``.`` is a value of the option before it, not an option name."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[0-9.]", token):
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line; --help, --version and usage errors raise SystemExit."""
+    return build_parser(argv[0] if argv else None).parse_args(_join_negative_values(argv))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        overrides = {name: getattr(args, name, None) for name in CONFIG_FLAGS}
+        overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
         config = load_config(args.config, overrides)
         code = COMMANDS[args.command](config, args)
         _write_meta(config, args.command)

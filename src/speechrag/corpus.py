@@ -99,8 +99,13 @@ def validate_corpus(corpus: Corpus) -> None:
                     f"passage {p.id}: sample rate {p.audio.sample_rate} does not "
                     f"match corpus rate {corpus.sample_rate}"
                 )
-    for q in corpus.queries:
-        if q.relevant_passage_id not in seen:
+    _check_references(corpus.queries, seen)
+
+
+def _check_references(queries, passage_ids) -> None:
+    """Raise ValueError for the first query whose passage is not in passage_ids."""
+    for q in queries:
+        if q.relevant_passage_id not in passage_ids:
             raise ValueError(
                 f"query {q.text!r}: dangling relevant_passage_id {q.relevant_passage_id!r}"
             )
@@ -154,6 +159,10 @@ def load_manifest(path) -> Corpus:
                     ) from None
                 if not transcript:
                     raise ManifestError(f"line {lineno}: passage {pid!r} has empty transcript")
+                if not isinstance(audio, str):
+                    raise ManifestError(
+                        f"line {lineno}: passage {pid!r} audio must be a string, got {audio!r}"
+                    )
                 # Header-only read: samples stay lazy, but rate and duration are checked now.
                 audio_file = os.path.join(base_dir, audio)
                 try:
@@ -196,14 +205,15 @@ def load_manifest(path) -> Corpus:
                 )
             else:
                 raise ManifestError(f"line {lineno}: unknown record kind {kind!r}")
-    corpus = Corpus(
+    # The loop has made every passage check of validate_corpus; only the
+    # query references remain.
+    _check_references(queries, seen_ids)
+    return Corpus(
         passages=tuple(passages),
         queries=tuple(queries),
         sample_rate=sample_rate if sample_rate is not None else SYNTH_SAMPLE_RATE,
         base_dir=base_dir,
     )
-    validate_corpus(corpus)
-    return corpus
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import struct
 
 import pytest
 
-from speechrag import cli
+from speechrag import __version__, cli
 from speechrag.checkpoint import save_checkpoint
 from speechrag.cli import main
-from speechrag.config import load_config
+from speechrag.config import RunConfig, load_config
 from speechrag.encoder import Vocab
 from speechrag.training import Checkpoint, TrainConfig, build_model
 
@@ -444,3 +446,137 @@ def test_config_judge_is_checked_at_load(workspace, capsys, edit):
     path.write_text(json.dumps(bad), encoding="utf-8")
     assert run("synth", "--config", str(path)) == 2
     assert "judge" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The flag surface: what each subcommand accepts, and how it is parsed
+# ---------------------------------------------------------------------------
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--seed", "--data-dir"}
+SUBCOMMAND_OPTIONS = {
+    "synth": set(),
+    "split": set(),
+    "train": set(),
+    "embed": {"--mode", "--manifest", "--target-wer", "--snr-db"},
+    "index": {"--mode"},
+    "search": {"--mode", "--manifest", "--query", "--k"},
+    "eval-retrieval": {"--mode", "--manifest", "--target-wer", "--snr-db", "--k"},
+    "noise-sweep": {"--manifest", "--target-wer", "--snr"},
+    "corrupt": {"--manifest", "--target-wer"},
+    "eval-generation": {"--mode", "--manifest", "--target-wer", "--top-k-context",
+                        "--generator-url"},
+    "gradcheck": {"--probes", "--eps"},
+}
+
+
+def help_options(text: str) -> set[str]:
+    """The option strings in the options section of argparse's help text."""
+    options = set()
+    for line in text.split("options:", 1)[1].splitlines():
+        if line.startswith("  -"):
+            invocation = line.strip().split("  ")[0]
+            options.update(part.split()[0] for part in invocation.split(", "))
+    return options
+
+
+def test_version_prints_the_package_version(capsys):
+    assert run("--version") == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert run("--help") == 0
+    listed = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert listed == list(SUBCOMMAND_OPTIONS)
+
+
+def test_no_subcommand_is_usage_error(capsys):
+    assert run() == 1
+    assert "required: command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_OPTIONS))
+def test_subcommand_help_lists_its_flags(capsys, command):
+    assert run(command, "--help") == 0
+    assert help_options(capsys.readouterr().out) == COMMON_OPTIONS | SUBCOMMAND_OPTIONS[command]
+
+
+def test_flag_table_and_command_table_name_the_same_subcommands():
+    assert list(cli.FLAGS) == list(cli.COMMANDS) == list(SUBCOMMAND_OPTIONS)
+
+
+def test_parser_for_a_command_holds_only_that_command():
+    assert cli.build_parser("index").parse_args(["index"]).command == "index"
+    with pytest.raises(SystemExit):
+        cli.build_parser("search").parse_args(["index"])
+    assert cli.build_parser().parse_args(["index"]).command == "index"
+
+
+def test_config_overrides_are_the_flags_whose_dest_is_a_config_field():
+    dests = set()
+    for command in cli.FLAGS:
+        argv = [command, "--query", "q"] if command == "search" else [command]
+        dests |= set(vars(cli.parse_args(argv)))
+    config_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert dests & config_fields == {"seed", "data_dir", "corpus_manifest", "target_wer",
+                                     "k_values", "snr_grid", "top_k_context", "generator_url"}
+    assert dests - config_fields == {"command", "config", "mode", "query", "k", "snr_db",
+                                     "probes", "eps"}
+
+
+BOGUS = "error: argument --mode: unknown mode 'bogus'"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("eval-retrieval", "--mode", "gt_text,bogus"), BOGUS),
+     (("eval-retrieval", "--mode", "speech,speech_rag"),
+      "error: argument --mode: mode repeated in 'speech,speech_rag'"),
+     (("eval-retrieval", "--mode", "gt_text,"), "error: argument --mode: unknown mode ''"),
+     (("embed", "--mode", "bogus"), BOGUS), (("index", "--mode", "bogus"), BOGUS),
+     (("search", "--mode", "bogus", "--query", "q"), BOGUS),
+     (("eval-generation", "--mode", "bogus"), BOGUS),
+     (("search", "--query", "q", "--target-wer", "0.3"),
+      "error: unrecognized arguments: --target-wer 0.3")],
+    ids=["unknown_in_list", "repeated", "empty_in_list", "embed", "index", "search",
+         "eval_generation", "search_target_wer"],
+)
+def test_rejected_mode_or_flag_is_usage_error(workspace, capsys, argv, message):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    before = reports(root)
+    capsys.readouterr()
+    assert run(*argv, "--config", config) == 1
+    assert message in capsys.readouterr().err
+    assert reports(root) == before
+    assert not (root / "artifacts").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, dest, value",
+    [(("embed", "--snr-db", "-5"), "snr_db", -5.0),
+     (("eval-retrieval", "--snr-db", "-5"), "snr_db", -5.0),
+     (("corrupt", "--target-wer", "-0.1"), "target_wer", -0.1),
+     (("noise-sweep", "--snr", "-5,-.5,10"), "snr_grid", (-5.0, -0.5, 10.0)),
+     (("noise-sweep", "--snr=-5"), "snr_grid", (-5.0,)),
+     (("gradcheck", "--eps", "-1e-3"), "eps", -1e-3),
+     (("search", "--query", "-3 words"), "query", "-3 words")],
+)
+def test_negative_flag_value_parses(argv, dest, value):
+    assert getattr(cli.parse_args(list(argv)), dest) == value
+
+
+def test_eval_retrieval_modes_parse_in_order():
+    modes = cli.parse_args(["eval-retrieval", "--mode", "gt_text, cascaded,semi_cascaded"]).mode
+    assert [m.value for m in modes] == ["gt_text", "fully_cascaded", "semi_cascaded"]
+    assert [m.value for m in cli.parse_args(["eval-retrieval"]).mode] == ["speech_rag"]
+    assert cli.parse_args(["embed"]).mode.value == "speech_rag"
+
+
+def test_manifest_with_non_string_audio_is_exit_two(workspace, capsys):
+    root, config = workspace
+    bad = root / "bad.jsonl"
+    bad.write_text(json.dumps({"kind": "passage", "id": "p1", "audio": 5, "transcript": "x"})
+                   + "\n", encoding="utf-8")
+    assert run("corrupt", "--config", config, "--manifest", str(bad)) == 2
+    assert "line 1: passage 'p1' audio must be a string, got 5" in capsys.readouterr().err

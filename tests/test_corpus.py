@@ -120,6 +120,40 @@ def test_missing_audio_file_rejected(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("audio", [5, ["audio/a.wav"], None, 1.5, {"path": "a.wav"}],
+                         ids=["int", "list", "null", "float", "object"])
+def test_non_string_audio_rejected(tmp_path, audio):
+    path = write_manifest(
+        tmp_path, [{"kind": "passage", "id": "p1", "audio": audio, "transcript": "x"}]
+    )
+    with pytest.raises(ManifestError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"line 1: passage 'p1' audio must be a string, got {audio!r}"
+
+
+def test_dangling_reference_message_equals_validate_corpus(tmp_path):
+    a = make_wav(tmp_path, "a.wav")
+    path = write_manifest(
+        tmp_path,
+        [
+            {"kind": "passage", "id": "p1", "audio": a, "transcript": "hello"},
+            {"kind": "query", "text": "q", "answer": "a", "passage_id": "p1"},
+            {"kind": "query", "text": "r", "answer": "b", "passage_id": "missing"},
+        ],
+    )
+    with pytest.raises(ValueError) as loaded:
+        load_manifest(path)
+    corpus = Corpus(
+        passages=(Passage(id="p1", transcript="hello", audio_path=a),),
+        queries=(Query("q", "a", "p1"), Query("r", "b", "missing")),
+    )
+    with pytest.raises(ValueError) as validated:
+        validate_corpus(corpus)
+    assert str(loaded.value) == str(validated.value) == (
+        "query 'r': dangling relevant_passage_id 'missing'"
+    )
+
+
 # ---------------------------------------------------------------------------
 # WAV header reading: the manifest's own RIFF walk against wave.open
 # ---------------------------------------------------------------------------
