@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -83,6 +84,15 @@ def _modes(value: str) -> tuple[PipelineMode, ...]:
     if len(set(modes)) != len(modes):
         raise argparse.ArgumentTypeError(f"mode repeated in {value!r}")
     return modes
+
+
+def _snr_db(value: str) -> float:
+    """An SNR in dB: a number, or inf for no noise. NaN and -inf set no
+    noise level."""
+    snr = float(value)
+    if math.isnan(snr) or snr == -math.inf:
+        raise argparse.ArgumentTypeError(f"SNR must be a number or inf, got {value!r}")
+    return snr
 
 
 def float_list(value: str) -> tuple[float, ...]:
@@ -260,6 +270,7 @@ def cmd_eval_retrieval(config: RunConfig, args) -> int:
         _write_jsonl(
             config.path(config.report_dir) / f"retrieval_{mode.value}.jsonl", report.rows
         )
+        del report  # so the next mode's rows replace these rather than join them
     out = config.path(config.report_dir) / "retrieval.csv"
     _write_csv(out, header, rows)
     print(out)
@@ -276,7 +287,7 @@ def cmd_noise_sweep(config: RunConfig, args) -> int:
     # noise-independent reference line at the configured WER.
     cascaded = retrieval_run(
         corpus, PipelineMode.FULLY_CASCADED, speech_model, k_values=(5,), corruption=corruption
-    )
+    ).recalls[5]
     rows = []
     for snr_db in config.snr_grid:
         speech = retrieval_run(
@@ -286,9 +297,9 @@ def cmd_noise_sweep(config: RunConfig, args) -> int:
             k_values=(5,),
             snr_db=snr_db,
             noise_seed=config.seed,
-        )
-        rows.append([snr_db, "speech_rag", f"{speech.recalls[5]:.4f}"])
-        rows.append([snr_db, "fully_cascaded", f"{cascaded.recalls[5]:.4f}"])
+        ).recalls[5]
+        rows.append([snr_db, "speech_rag", f"{speech:.4f}"])
+        rows.append([snr_db, "fully_cascaded", f"{cascaded:.4f}"])
     out = config.path(config.report_dir) / "noise_sweep.csv"
     _write_csv(out, ["snr_db", "mode", "recall@5"], rows)
     print(out)
@@ -393,7 +404,8 @@ _MANIFEST = ("--manifest", dict(dest="corpus_manifest",
                                 help="manifest to evaluate (overrides corpus_manifest)"))
 _TARGET_WER = ("--target-wer", dict(dest="target_wer", type=float,
                                     help="corruption target WER (overrides target_wer)"))
-_SNR_DB = ("--snr-db", dict(dest="snr_db", type=float, help="add Gaussian noise at this SNR in dB"))
+_SNR_DB = ("--snr-db", dict(dest="snr_db", type=_snr_db,
+                            help="add Gaussian noise at this SNR in dB"))
 
 # Each subcommand's flags, as (flag, add_argument keywords). A flag whose
 # dest is a RunConfig field overrides that field (see main).

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -69,6 +70,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= {least}")
         if list(self.k_values) != sorted(self.k_values) or any(k < 1 for k in self.k_values):
             raise ValueError("k_values must be positive and sorted ascending")
+        if not 0.0 <= self.target_wer < 1.0:
+            raise ValueError("target_wer must lie in [0, 1)")
+        # +inf is the no-noise point; NaN and -inf set no noise level.
+        if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid):
+            raise ValueError(f"snr_grid values must be numbers or inf, got {self.snr_grid}")
         if self.judge not in ("mock", "external"):
             raise ValueError(f"judge must be 'mock' or 'external', got {self.judge!r}")
         if self.judge == "external" and not self.generator_url:

@@ -5,8 +5,10 @@ A corpus pairs spoken passages (each with a ground-truth transcript) with
 queries that reference exactly one relevant passage. Synthetic corpora make
 the audio a deterministic function of the transcript: every vocabulary word
 owns a fixed 100 ms tone-plus-noise pattern, and a passage's waveform is the
-concatenation of its words' patterns. Queries are dropout-perturbed copies
-of the transcript, so lexical overlap ties each query to its one passage.
+concatenation of its words' patterns. Such a corpus keeps the word patterns
+(its codebook) and renders a passage's audio when it is loaded, so it holds
+no waveform per passage. Queries are dropout-perturbed copies of the
+transcript, so lexical overlap ties each query to its one passage.
 
 Corpus values are immutable after construction and safe to share across
 threads read-only.
@@ -38,10 +40,29 @@ class ManifestError(ValueError):
 
 @dataclass(frozen=True)
 class Passage:
+    """A spoken passage. Its audio is the WAV file at `audio_path`, relative
+    to the corpus's base_dir, or, with no path, its transcript rendered by
+    the corpus's codebook."""
+
     id: str
     transcript: str
-    audio: AudioSignal | None = None
     audio_path: str | None = None
+
+
+# eq=False: a dict of arrays has no truth value to compare by, so a
+# codebook equals only itself.
+@dataclass(frozen=True, eq=False)
+class Codebook:
+    """Each vocabulary word's fixed waveform, read-only. A synthesized
+    passage's audio is its transcript's word waveforms end to end."""
+
+    patterns: dict[str, np.ndarray]
+    sample_rate: int
+
+    def render(self, transcript: str) -> AudioSignal:
+        return AudioSignal(
+            np.concatenate([self.patterns[w] for w in transcript.split()]), self.sample_rate
+        )
 
 
 @dataclass(frozen=True)
@@ -57,6 +78,7 @@ class Corpus:
     queries: tuple[Query, ...]
     sample_rate: int = SYNTH_SAMPLE_RATE
     base_dir: str | None = None
+    codebook: Codebook | None = None
 
     @cached_property
     def passages_by_id(self) -> dict[str, Passage]:
@@ -66,10 +88,12 @@ class Corpus:
         return self.passages_by_id[passage_id]
 
     def load_audio(self, passage: Passage) -> AudioSignal:
-        if passage.audio is not None:
-            return passage.audio
         if passage.audio_path is None:
-            raise ValueError(f"passage {passage.id} has neither audio nor a file reference")
+            if self.codebook is None:
+                raise ValueError(
+                    f"passage {passage.id} has no file reference and the corpus no codebook"
+                )
+            return self.codebook.render(passage.transcript)
         root = Path(self.base_dir) if self.base_dir else Path(".")
         signal = read_wav(root / passage.audio_path)
         if signal.sample_rate != self.sample_rate:
@@ -82,6 +106,12 @@ class Corpus:
 
 def validate_corpus(corpus: Corpus) -> None:
     """Check every corpus invariant, raising ValueError on the first breach."""
+    codebook = corpus.codebook
+    if codebook is not None and codebook.sample_rate != corpus.sample_rate:
+        raise ValueError(
+            f"codebook sample rate {codebook.sample_rate} does not "
+            f"match corpus rate {corpus.sample_rate}"
+        )
     seen: set[str] = set()
     for p in corpus.passages:
         if p.id in seen:
@@ -89,16 +119,12 @@ def validate_corpus(corpus: Corpus) -> None:
         seen.add(p.id)
         if not p.transcript:
             raise ValueError(f"passage {p.id}: empty transcript")
-        if p.audio is None and p.audio_path is None:
-            raise ValueError(f"passage {p.id}: no audio and no file reference")
-        if p.audio is not None:
-            if p.audio.samples.size == 0:
-                raise ValueError(f"passage {p.id}: zero-duration audio")
-            if p.audio.sample_rate != corpus.sample_rate:
-                raise ValueError(
-                    f"passage {p.id}: sample rate {p.audio.sample_rate} does not "
-                    f"match corpus rate {corpus.sample_rate}"
-                )
+        if p.audio_path is None:
+            if codebook is None:
+                raise ValueError(f"passage {p.id}: no file reference and no codebook")
+            missing = [w for w in p.transcript.split() if w not in codebook.patterns]
+            if missing:
+                raise ValueError(f"passage {p.id}: word {missing[0]!r} is not in the codebook")
     _check_references(corpus.queries, seen)
 
 
@@ -241,7 +267,8 @@ def save_manifest(corpus: Corpus, path) -> None:
     """Write a corpus as JSONL plus PCM16 WAV files.
 
     Passages already referencing files under the destination directory keep
-    their references; in-memory audio is written to `<dir>/audio/`.
+    their references; every other passage's audio is loaded, written to
+    `<dir>/audio/` and dropped, one passage at a time.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -272,25 +299,6 @@ def save_manifest(corpus: Corpus, path) -> None:
             )
         )
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def corpus_equal(a: Corpus, b: Corpus, audio_atol: float = 1.0 / 32768.0) -> bool:
-    """Structural equality with an audio tolerance covering PCM quantization."""
-    if a.sample_rate != b.sample_rate or len(a.passages) != len(b.passages):
-        return False
-    if [(q.text, q.gold_answer, q.relevant_passage_id) for q in a.queries] != [
-        (q.text, q.gold_answer, q.relevant_passage_id) for q in b.queries
-    ]:
-        return False
-    for pa, pb in zip(a.passages, b.passages):
-        if pa.id != pb.id or pa.transcript != pb.transcript:
-            return False
-        sa, sb = a.load_audio(pa), b.load_audio(pb)
-        if sa.samples.size != sb.samples.size:
-            return False
-        if sa.samples.size and float(np.max(np.abs(sa.samples - sb.samples))) > audio_atol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +371,8 @@ def synth_corpus(params: SynthParams) -> Corpus:
     """Deterministically generate a paired audio/text corpus.
 
     Each passage transcript is a sequence of random vocabulary words; its
-    waveform concatenates the per-word codebook patterns. Each passage gets
+    waveform, rendered from the returned corpus's codebook when loaded,
+    concatenates the per-word patterns. Each passage gets
     one query: the transcript with each word independently dropped with
     probability query_word_dropout, and a retained word as the gold answer.
     """
@@ -374,9 +383,10 @@ def synth_corpus(params: SynthParams) -> Corpus:
 
     vocabulary = _make_vocabulary(params.vocabulary_size, rng_vocab)
     word_samples = int(round(WORD_SECONDS * SYNTH_SAMPLE_RATE))
-    codebook = {
-        word: _word_waveform(rng_code, word_samples, SYNTH_SAMPLE_RATE) for word in vocabulary
-    }
+    patterns = {}
+    for word in vocabulary:
+        patterns[word] = _word_waveform(rng_code, word_samples, SYNTH_SAMPLE_RATE)
+        patterns[word].flags.writeable = False
 
     lo, hi = params.words_per_passage
     passages: list[Passage] = []
@@ -385,15 +395,8 @@ def synth_corpus(params: SynthParams) -> Corpus:
         n_words = int(rng_text.integers(lo, hi + 1))
         word_ids = rng_text.integers(0, params.vocabulary_size, size=n_words)
         transcript_words = [vocabulary[w] for w in word_ids]
-        samples = np.concatenate([codebook[w] for w in transcript_words])
         pid = f"p{i:04d}"
-        passages.append(
-            Passage(
-                id=pid,
-                transcript=" ".join(transcript_words),
-                audio=AudioSignal(samples, SYNTH_SAMPLE_RATE),
-            )
-        )
+        passages.append(Passage(id=pid, transcript=" ".join(transcript_words)))
         keep = rng_query.random(n_words) >= params.query_word_dropout
         if not keep.any():
             keep[int(rng_query.integers(n_words))] = True
@@ -401,7 +404,11 @@ def synth_corpus(params: SynthParams) -> Corpus:
         gold = retained[int(rng_query.integers(len(retained)))]
         queries.append(Query(text=" ".join(retained), gold_answer=gold, relevant_passage_id=pid))
 
-    corpus = Corpus(passages=tuple(passages), queries=tuple(queries))
+    corpus = Corpus(
+        passages=tuple(passages),
+        queries=tuple(queries),
+        codebook=Codebook(patterns, SYNTH_SAMPLE_RATE),
+    )
     validate_corpus(corpus)
     return corpus
 

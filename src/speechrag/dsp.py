@@ -188,11 +188,16 @@ def write_wav(path, signal: AudioSignal) -> None:
     """Write PCM16 mono, with the 44-byte header wave writes. float -> int16
     by multiplication by 32768 with clamping; round-trip error is at most
     1/32768 per sample."""
-    data = np.clip(np.rint(signal.samples * PCM_SCALE), -32768, 32767).astype("<i2").tobytes()
+    # In place: each fresh temporary the size of the signal costs page
+    # faults, and synth writes one file per passage.
+    scaled = signal.samples * PCM_SCALE
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    data = scaled.astype("<i2")
     rate = signal.sample_rate
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16,
-                             _WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16, b"data", len(data)))
+        fh.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE", b"fmt ", 16,
+                             _WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16, b"data", data.nbytes))
         fh.write(data)
 
 
@@ -274,6 +279,8 @@ def add_noise_snr(signal: AudioSignal, snr_db: float, seed: int) -> AudioSignal:
     snr_db = +inf is the no-noise sentinel. The output is intentionally not
     clamped to [-1, 1].
     """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or inf, got {snr_db}")
     if math.isinf(snr_db) and snr_db > 0:
         return AudioSignal(signal.samples.copy(), signal.sample_rate)
     p_signal = float(np.mean(signal.samples**2))

@@ -128,18 +128,14 @@ def search(index: Index, query: np.ndarray, k: int) -> SearchResult:
     )
 
 
-def recall_at_k(results: dict[str, SearchResult], qrels: dict[str, str], k: int) -> float:
-    """Fraction of queries whose single relevant passage appears in the
-    top-k of its result list."""
-    if not results:
+def recall_from_ranks(ranks: list[int | None], k: int) -> float:
+    """Recall@k: the fraction of queries whose single relevant passage is
+    in the top k. `ranks` holds each query's 1-based relevant rank, or None
+    when the passage is outside the query's ranking."""
+    if not ranks:
         raise ValueError("no query results")
-    hits = 0
-    for query_key, result in results.items():
-        if query_key not in qrels:
-            raise KeyError(f"query {query_key!r} missing from qrels")
-        relevant = qrels[query_key]
-        hits += any(pid == relevant for pid, _ in result.ranking[:k])
-    return hits / len(results)
+    hits = sum(rank is not None and rank <= k for rank in ranks)
+    return hits / len(ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import hashlib
 import json
 import urllib.error
 import urllib.request
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,7 +33,7 @@ import numpy as np
 from .corpus import Corpus, Passage, Query
 from .dsp import add_noise_snr
 from .encoder import RetrieverModel, words
-from .index import SearchResult, build as build_index, recall_at_k, search
+from .index import SearchResult, build as build_index, recall_from_ranks, search
 
 DEFAULT_INSTRUCTION = "Answer the question using the numbered contexts."
 JUDGE_INSTRUCTION = (
@@ -388,19 +389,20 @@ def _retrieve(
     corruption: CorruptionConfig | None,
     snr_db: float | None,
     noise_seed: int,
-) -> tuple[dict[str, str], list[tuple[str, Query, SearchResult]]]:
+) -> tuple[dict[str, str], Iterator[tuple[str, Query, SearchResult]]]:
     """The retrieval loop of every pipeline: embed the passages under the
     mode, index them once, and search each query's text embedding to depth
-    k. Returns each passage's context string and one (query key, query,
-    result) per query, in corpus order."""
+    k. Returns each passage's context string and an iterator that searches
+    lazily, yielding one (query key, query, result) per query in corpus
+    order, so a caller holds only the results it keeps."""
     pairs, contexts = passage_embeddings(
         corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
     )
     idx = build_index(pairs)
-    hits = [
+    hits = (
         (f"q{qi:04d}", q, search(idx, model.embed_text(q.text), k))
         for qi, q in enumerate(corpus.queries)
-    ]
+    )
     return contexts, hits
 
 
@@ -481,28 +483,25 @@ def retrieval_run(
     noise_seed: int = 0,
 ) -> RetrievalReport:
     """Embed passages for the mode, run every query, and report Recall@k for
-    each requested k plus one ranked row per query."""
+    each requested k plus one ranked row per query. Only the rows are kept:
+    each search result is dropped once its row is made."""
     k_values = sorted(k_values)
     contexts, hits = _retrieve(
         corpus, mode, model, max(k_values), corruption, snr_db, noise_seed
     )
-    results: dict[str, SearchResult] = {}
-    qrels: dict[str, str] = {}
-    rows: list[dict] = []
-    for key, q, result in hits:
-        results[key] = result
-        qrels[key] = q.relevant_passage_id
-        rows.append(
-            {
-                "query_key": key,
-                "query": q.text,
-                "relevant_id": q.relevant_passage_id,
-                "ranked_ids": result.ids,
-                "scores": [round(score, 6) for _, score in result.ranking],
-                "relevant_rank": result.rank_of(q.relevant_passage_id),
-            }
-        )
-    recalls = {k: recall_at_k(results, qrels, k) for k in k_values}
+    rows = [
+        {
+            "query_key": key,
+            "query": q.text,
+            "relevant_id": q.relevant_passage_id,
+            "ranked_ids": result.ids,
+            "scores": [round(score, 6) for _, score in result.ranking],
+            "relevant_rank": result.rank_of(q.relevant_passage_id),
+        }
+        for key, q, result in hits
+    ]
+    ranks = [row["relevant_rank"] for row in rows]
+    recalls = {k: recall_from_ranks(ranks, k) for k in k_values}
     passage_wer = None
     if mode is PipelineMode.FULLY_CASCADED:
         passage_wer = corpus_wer((p.transcript, contexts[p.id]) for p in corpus.passages)

@@ -1,0 +1,86 @@
+"""Reference implementations that the tests check the package against.
+
+They are written for plainness, not speed, and the package does not use
+them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from speechrag.corpus import (
+    SYNTH_SAMPLE_RATE,
+    WORD_SECONDS,
+    Corpus,
+    SynthParams,
+    _make_vocabulary,
+    _word_waveform,
+)
+from speechrag.dsp import PCM_SCALE
+from speechrag.index import SearchResult
+
+
+def recall_at_k(results: dict[str, SearchResult], qrels: dict[str, str], k: int) -> float:
+    """Fraction of queries whose single relevant passage appears in the
+    top-k of its result list."""
+    if not results:
+        raise ValueError("no query results")
+    hits = 0
+    for query_key, result in results.items():
+        if query_key not in qrels:
+            raise KeyError(f"query {query_key!r} missing from qrels")
+        relevant = qrels[query_key]
+        hits += any(pid == relevant for pid, _ in result.ranking[:k])
+    return hits / len(results)
+
+
+def corpus_equal(a: Corpus, b: Corpus, audio_atol: float = 1.0 / 32768.0) -> bool:
+    """Structural equality with an audio tolerance covering PCM quantization."""
+    if a.sample_rate != b.sample_rate or len(a.passages) != len(b.passages):
+        return False
+    if [(q.text, q.gold_answer, q.relevant_passage_id) for q in a.queries] != [
+        (q.text, q.gold_answer, q.relevant_passage_id) for q in b.queries
+    ]:
+        return False
+    for pa, pb in zip(a.passages, b.passages):
+        if pa.id != pb.id or pa.transcript != pb.transcript:
+            return False
+        sa, sb = a.load_audio(pa), b.load_audio(pb)
+        if sa.samples.size != sb.samples.size:
+            return False
+        if sa.samples.size and float(np.max(np.abs(sa.samples - sb.samples))) > audio_atol:
+            return False
+    return True
+
+
+def eager_synth_audio(params: SynthParams) -> dict[str, np.ndarray]:
+    """Each passage's waveform as synth_corpus draws it, concatenated
+    eagerly: the same streams, draws and draw order, with every passage's
+    samples built at once and kept."""
+    rng_vocab = np.random.default_rng([params.seed, 0])
+    rng_code = np.random.default_rng([params.seed, 1])
+    rng_text = np.random.default_rng([params.seed, 2])
+    vocabulary = _make_vocabulary(params.vocabulary_size, rng_vocab)
+    word_samples = int(round(WORD_SECONDS * SYNTH_SAMPLE_RATE))
+    codebook = {
+        word: _word_waveform(rng_code, word_samples, SYNTH_SAMPLE_RATE) for word in vocabulary
+    }
+    lo, hi = params.words_per_passage
+    audio = {}
+    for i in range(params.n_passages):
+        n_words = int(rng_text.integers(lo, hi + 1))
+        word_ids = rng_text.integers(0, params.vocabulary_size, size=n_words)
+        audio[f"p{i:04d}"] = np.concatenate([codebook[vocabulary[w]] for w in word_ids])
+    return audio
+
+
+def write_wav_with_wave_module(path, samples: np.ndarray, sample_rate: int) -> None:
+    """PCM16 mono through the standard library's writer."""
+    import wave
+
+    ints = np.clip(np.rint(samples * PCM_SCALE), -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(sample_rate)
+        fh.writeframes(ints.tobytes())

@@ -16,7 +16,7 @@ from speechrag.cli import main as cli_main
 from speechrag.corpus import SynthParams, corpus_words, synth_corpus
 from speechrag.dsp import AudioSignal, add_noise_snr, logmel, measure_snr
 from speechrag.encoder import Vocab, embed_text
-from speechrag.index import SearchResult, build, recall_at_k, search
+from speechrag.index import SearchResult, build, search
 from speechrag.ragpipe import (
     CorruptionConfig,
     PipelineMode,
@@ -29,6 +29,8 @@ from speechrag.ragpipe import (
     wer,
 )
 from speechrag.training import build_model, grad_check, mean_cosine
+
+from oracles import recall_at_k
 
 SR = 16000
 

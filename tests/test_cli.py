@@ -422,6 +422,70 @@ def test_config_flag_out_of_bounds_is_exit_two(workspace, capsys, argv, field):
 
 @pytest.mark.parametrize(
     "argv",
+    [("embed", "--mode", "speech", "--target-wer", "7"), ("corrupt", "--target-wer", "1"),
+     ("corrupt", "--target-wer", "-0.1"), ("eval-retrieval", "--target-wer", "nan")],
+)
+def test_target_wer_outside_unit_interval_is_exit_two(workspace, capsys, argv):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    capsys.readouterr()
+    assert run(*argv, "--config", config) == 2
+    assert "target_wer must lie in [0, 1)" in capsys.readouterr().err
+    assert not (root / f"reports/{argv[0]}.meta.json").exists()
+
+
+def test_target_wer_outside_unit_interval_in_config_file_is_exit_two(workspace, capsys):
+    root, _ = workspace
+    bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    bad["target_wer"] = 7
+    path = root / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    assert run("corrupt", "--config", str(path)) == 2
+    assert "target_wer must lie in [0, 1)" in capsys.readouterr().err
+    assert not (root / "reports").exists()
+
+
+@pytest.mark.parametrize("snr", ["-inf", "nan", "5,-inf"])
+def test_non_finite_snr_grid_flag_is_exit_two(workspace, capsys, snr):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    capsys.readouterr()
+    assert run("noise-sweep", f"--snr={snr}", "--config", config) == 2
+    assert "snr_grid values must be numbers or inf" in capsys.readouterr().err
+    assert not (root / "reports/noise-sweep.meta.json").exists()
+
+
+@pytest.mark.parametrize("snr", [float("nan"), float("-inf")])
+def test_non_finite_snr_grid_in_config_file_is_exit_two(workspace, capsys, snr):
+    root, _ = workspace
+    bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    bad["snr_grid"] = [5, snr]
+    path = root / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")  # NaN / -Infinity literals
+    assert run("noise-sweep", "--config", str(path)) == 2
+    assert "snr_grid values must be numbers or inf" in capsys.readouterr().err
+    assert not (root / "reports").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [("embed", "--snr-db=nan"), ("embed", "--snr-db", "NaN"),
+             ("eval-retrieval", "--snr-db=-inf")],
+)
+def test_non_finite_snr_db_is_usage_error(workspace, capsys, argv):
+    root, config = workspace
+    assert run(*argv, "--config", config) == 1
+    assert "SNR must be a number or inf" in capsys.readouterr().err
+    assert not (root / "reports").exists()
+
+
+def test_infinite_snr_stays_the_no_noise_point():
+    assert cli.parse_args(["embed", "--snr-db", "inf"]).snr_db == float("inf")
+    assert cli.parse_args(["noise-sweep", "--snr", "inf,5"]).snr_grid == (float("inf"), 5.0)
+    assert load_config(None, {"snr_grid": [float("inf"), 5.0]}).snr_grid == (float("inf"), 5.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
     [("noise-sweep", "--snr-db", "5"), ("noise-sweep", "--snr", "5,x"),
      ("eval-retrieval", "--k", "5,"), ("embed", "--mode", "gt_text,speech"),
      # Prefixes of --snr-db and --top-k-context: no flag is abbreviated.

@@ -12,13 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechrag.corpus import (
+    Codebook,
     Corpus,
     ManifestError,
     _decode_line,
     Passage,
     Query,
     SynthParams,
-    corpus_equal,
     corpus_words,
     load_manifest,
     save_manifest,
@@ -27,6 +27,8 @@ from speechrag.corpus import (
     validate_corpus,
 )
 from speechrag.dsp import AudioSignal, _walk_riff, _wav_header, read_wav, write_wav
+
+from oracles import corpus_equal, eager_synth_audio, write_wav_with_wave_module
 
 SR = 16000
 
@@ -522,7 +524,7 @@ def test_synth_deterministic_for_fixed_seed():
     for pa, pb in zip(a.passages, b.passages):
         assert pa.id == pb.id
         assert pa.transcript == pb.transcript
-        assert np.array_equal(pa.audio.samples, pb.audio.samples)
+        assert np.array_equal(a.load_audio(pa).samples, b.load_audio(pb).samples)
     assert a.queries == b.queries
 
 
@@ -541,7 +543,7 @@ def test_synth_64_passages_vocab_200_satisfies_invariants():
     for p in corpus.passages:
         n_words = len(p.transcript.split())
         assert 20 <= n_words <= 40
-        assert p.audio.duration == pytest.approx(n_words * 0.1)
+        assert corpus.load_audio(p).duration == pytest.approx(n_words * 0.1)
     for q in corpus.queries:
         assert q.gold_answer in q.text.split()
         assert q.text
@@ -580,21 +582,92 @@ def test_synth_params_validation():
         SynthParams(words_per_passage=(5, 2))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [SynthParams(seed=7),
+     SynthParams(n_passages=9, vocabulary_size=5, words_per_passage=(1, 3), seed=2)],
+)
+def test_load_audio_of_synthesized_passages_equals_eager_concatenation(params):
+    corpus = synth_corpus(params)
+    eager = eager_synth_audio(params)
+    assert [p.id for p in corpus.passages] == list(eager)
+    for p in corpus.passages:
+        signal = corpus.load_audio(p)
+        assert signal.sample_rate == corpus.sample_rate
+        assert np.array_equal(signal.samples, eager[p.id])
+
+
+def test_synthesized_corpus_holds_its_codebook_not_its_passages_audio():
+    corpus = synth_corpus(SynthParams(n_passages=5, vocabulary_size=10, seed=4))
+    assert all(p.audio_path is None for p in corpus.passages)
+    assert len(corpus.codebook.patterns) == 10
+    pattern = next(iter(corpus.codebook.patterns.values()))
+    with pytest.raises(ValueError, match="read-only"):
+        pattern[0] = 0.0
+    # Each load renders a fresh waveform; none is cached on the corpus.
+    p = corpus.passages[0]
+    assert corpus.load_audio(p).samples is not corpus.load_audio(p).samples
+
+
+def test_save_manifest_wav_bytes_equal_reference_writer(tmp_path):
+    params = SynthParams(n_passages=12, vocabulary_size=8, seed=5)
+    save_manifest(synth_corpus(params), tmp_path / "manifest.jsonl")
+    for pid, samples in eager_synth_audio(params).items():
+        write_wav_with_wave_module(tmp_path / "reference.wav", samples, SR)
+        written = (tmp_path / "audio" / f"{pid}.wav").read_bytes()
+        assert written == (tmp_path / "reference.wav").read_bytes()
+
+
+def test_synth_and_save_peak_memory_does_not_grow_with_passage_count(tmp_path):
+    import tracemalloc
+
+    def traced_peak(n_passages: int) -> int:
+        tracemalloc.start()
+        try:
+            corpus = synth_corpus(SynthParams(n_passages=n_passages, seed=1))
+            save_manifest(corpus, tmp_path / f"n{n_passages}" / "manifest.jsonl")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(40), traced_peak(400)
+    # Holding every waveform makes the peak grow with the passage count
+    # (about tenfold here); rendering one passage at a time keeps it flat.
+    assert large < 2 * small, (small, large)
+
+
+def test_validate_corpus_checks_the_codebook():
+    codebook = Codebook({"ka": np.full(10, 0.1), "mo": np.full(10, 0.2)}, SR)
+    passages = (Passage(id="p1", transcript="ka mo"), Passage(id="p2", transcript="mo zu"))
+    queries = (Query(text="ka", gold_answer="ka", relevant_passage_id="p1"),)
+    with pytest.raises(ValueError, match="p2: word 'zu' is not in the codebook"):
+        validate_corpus(Corpus(passages=passages, queries=queries, codebook=codebook))
+    with pytest.raises(ValueError, match="p1: no file reference and no codebook"):
+        validate_corpus(Corpus(passages=passages[:1], queries=queries))
+    with pytest.raises(ValueError, match="codebook sample rate 8000 does not match corpus rate"):
+        validate_corpus(Corpus(passages=passages[:1], queries=queries,
+                               codebook=Codebook(codebook.patterns, 8000)))
+    corpus = Corpus(passages=passages[:1], queries=queries, codebook=codebook)
+    validate_corpus(corpus)
+    assert np.array_equal(corpus.load_audio(passages[0]).samples,
+                          np.concatenate([np.full(10, 0.1), np.full(10, 0.2)]))
+    with pytest.raises(ValueError, match="p1 has no file reference and the corpus no codebook"):
+        Corpus(passages=passages[:1], queries=queries).load_audio(passages[0])
+
+
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
 
 
 def make_corpus(n):
-    passages = tuple(
-        Passage(id=f"p{i}", transcript=f"word{i}", audio=AudioSignal(np.ones(100) * 0.1, SR))
-        for i in range(n)
-    )
+    passages = tuple(Passage(id=f"p{i}", transcript=f"word{i}") for i in range(n))
     queries = tuple(
         Query(text=f"word{i}", gold_answer=f"word{i}", relevant_passage_id=f"p{i}")
         for i in range(n)
     )
-    return Corpus(passages=passages, queries=queries, sample_rate=SR)
+    codebook = Codebook({f"word{i}": np.ones(100) * 0.1 for i in range(n)}, SR)
+    return Corpus(passages=passages, queries=queries, sample_rate=SR, codebook=codebook)
 
 
 def test_split_sizes_ten_passages():

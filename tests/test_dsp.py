@@ -242,6 +242,12 @@ def test_infinite_snr_is_identity():
     assert np.array_equal(noisy.samples, signal.samples)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_snr_without_a_noise_level_rejected(snr_db):
+    with pytest.raises(ValueError, match="snr_db must be a number or inf"):
+        add_noise_snr(sine(500.0, 0.5), snr_db, seed=0)
+
+
 def test_zero_power_signal_rejected():
     with pytest.raises(ValueError, match="zero-power"):
         add_noise_snr(AudioSignal(np.zeros(SR), SR), 10.0, seed=0)

@@ -209,7 +209,7 @@ def test_speech_encode_dimension_mismatch():
 
 
 def test_embed_speech_deterministic(seed7_corpus, untrained_model):
-    signal = seed7_corpus.passages[0].audio
+    signal = seed7_corpus.load_audio(seed7_corpus.passages[0])
     a = untrained_model.embed_speech(signal)
     b = untrained_model.embed_speech(signal)
     assert np.array_equal(a, b)
@@ -218,7 +218,8 @@ def test_embed_speech_deterministic(seed7_corpus, untrained_model):
 def test_untrained_mean_cosine_near_zero(seed7_corpus, untrained_model):
     cosines = [
         1.0 - cosine_loss(
-            untrained_model.embed_speech(p.audio), untrained_model.embed_text(p.transcript)
+            untrained_model.embed_speech(seed7_corpus.load_audio(p)),
+            untrained_model.embed_text(p.transcript),
         )
         for p in seed7_corpus.passages
     ]

@@ -14,11 +14,13 @@ from speechrag.index import (
     build,
     load,
     load_embeddings,
-    recall_at_k,
+    recall_from_ranks,
     save,
     save_embeddings,
     search,
 )
+
+from oracles import recall_at_k
 
 
 def brute_force_ranking(pairs, query, k):
@@ -250,6 +252,36 @@ def test_recall_missing_query_rejected():
     results = {"q": ranking_of(["a"])}
     with pytest.raises(KeyError, match="missing"):
         recall_at_k(results, {}, 5)
+
+
+def test_recall_from_ranks_reproduces_the_specified_examples():
+    assert all(recall_from_ranks([1, 1, 1, 1], k) == 1.0 for k in (5, 10, 100))
+    assert [recall_from_ranks([7], k) for k in (5, 10, 100)] == [0.0, 1.0, 1.0]
+    assert [recall_from_ranks([1, 6, 11, 200], k) for k in (5, 10, 100)] == [0.25, 0.5, 0.75]
+    assert recall_from_ranks([None, 3], 100) == 0.5
+    with pytest.raises(ValueError, match="no query results"):
+        recall_from_ranks([], 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(
+            st.permutations([f"p{i}" for i in range(12)]).flatmap(
+                lambda ids: st.integers(min_value=1, max_value=12).map(lambda n: ids[:n])
+            ),
+            st.sampled_from([f"p{i}" for i in range(15)]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    k=st.integers(min_value=1, max_value=15),
+)
+def test_recall_from_ranks_equals_recall_at_k(queries, k):
+    results = {f"q{i}": ranking_of(ids) for i, (ids, _) in enumerate(queries)}
+    qrels = {f"q{i}": relevant for i, (_, relevant) in enumerate(queries)}
+    ranks = [results[key].rank_of(qrels[key]) for key in results]
+    assert recall_from_ranks(ranks, k) == recall_at_k(results, qrels, k)
 
 
 @settings(max_examples=15, deadline=None)
