@@ -1,35 +1,3 @@
 """Cross-modal speech retrieval and RAG evaluation toolkit."""
 
 __version__ = "0.1.0"
-
-from .corpus import Corpus, Passage, Query, SynthParams, load_manifest, split, synth_corpus
-from .dsp import AudioSignal, FeatureConfig, add_noise_snr, logmel, measure_snr, read_wav, write_wav
-from .encoder import RetrieverModel, Vocab, embed_speech, embed_text, tokenize
-from .training import Checkpoint, TrainConfig, cosine_loss, grad_check, train
-
-__all__ = [
-    "AudioSignal",
-    "Checkpoint",
-    "Corpus",
-    "FeatureConfig",
-    "Passage",
-    "Query",
-    "RetrieverModel",
-    "SynthParams",
-    "TrainConfig",
-    "Vocab",
-    "add_noise_snr",
-    "cosine_loss",
-    "embed_speech",
-    "embed_text",
-    "grad_check",
-    "load_manifest",
-    "logmel",
-    "measure_snr",
-    "read_wav",
-    "split",
-    "synth_corpus",
-    "tokenize",
-    "train",
-    "write_wav",
-]

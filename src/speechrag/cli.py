@@ -230,7 +230,8 @@ def cmd_embed(config: RunConfig, args) -> int:
     mode = args.mode
     corpus = load_manifest(config.path(config.corpus_manifest))
     model, corruption = _mode_inputs(config, corpus, mode)
-    pairs, _ = passage_embeddings(corpus, mode, model, corruption=corruption, snr_db=args.snr_db)
+    pairs, _ = passage_embeddings(corpus, mode, model, corruption=corruption, snr_db=args.snr_db,
+                                  noise_seed=config.seed)
     out = config.path(config.embeddings_path, mode=mode.value)
     save_embeddings(out, [pid for pid, _ in pairs], np.stack([emb for _, emb in pairs]))
     print(f"wrote {len(pairs)} embeddings to {out}")
@@ -262,9 +263,8 @@ def cmd_eval_retrieval(config: RunConfig, args) -> int:
     rows = []
     for mode in args.mode:
         model, corruption = _mode_inputs(config, corpus, mode)
-        report = retrieval_run(
-            corpus, mode, model, k_values=config.k_values, corruption=corruption, snr_db=args.snr_db
-        )
+        report = retrieval_run(corpus, mode, model, k_values=config.k_values, corruption=corruption,
+                               snr_db=args.snr_db, noise_seed=config.seed)
         wer_cell = "" if report.passage_wer is None else f"{report.passage_wer:.4f}"
         rows.append([mode.value, wer_cell] + [f"{report.recalls[k]:.4f}" for k in config.k_values])
         _write_jsonl(
@@ -464,12 +464,17 @@ COMMANDS = {
 }
 
 
+# A negative number, or -inf in any case (-Infinity too), then anything.
+_NEGATIVE = re.compile(r"-([0-9.]|inf)", re.IGNORECASE)
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Fold ``--snr -5,0,10`` into ``--snr=-5,0,10``: a token that is ``-`` then
-    a digit or ``.`` is a value of the option before it, not an option name."""
+    a digit, ``.`` or ``inf`` is a value of the option before it, not an
+    option name."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[0-9.]", token):
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.match(token):
             out[-1] += "=" + token
         else:
             out.append(token)

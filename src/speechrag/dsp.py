@@ -209,12 +209,6 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_center_frequencies(n_mels: int, sample_rate: int) -> np.ndarray:
-    """Center frequency (Hz) of each triangular mel filter, 0 Hz to Nyquist."""
-    edges = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
-    return mel_to_hz(edges[1:-1])
-
-
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular filters (n_mels x fft_size//2+1) with unit peaks, spaced
     uniformly on the mel scale between 0 Hz and Nyquist."""
@@ -291,21 +285,3 @@ def add_noise_snr(signal: AudioSignal, snr_db: float, seed: int) -> AudioSignal:
     noise = rng.normal(0.0, 1.0, signal.samples.size)
     noise *= math.sqrt(variance / float(np.mean(noise**2)))
     return AudioSignal(signal.samples + noise, signal.sample_rate)
-
-
-def measure_snr(clean: AudioSignal, noisy: AudioSignal) -> float:
-    """10*log10(P_clean / P_noise) with noise = noisy - clean.
-
-    Returns +inf when the residual is exactly zero.
-    """
-    if clean.samples.size != noisy.samples.size:
-        raise ValueError(
-            f"length mismatch: clean has {clean.samples.size} samples, "
-            f"noisy has {noisy.samples.size}"
-        )
-    noise = noisy.samples - clean.samples
-    p_noise = float(np.mean(noise**2))
-    if p_noise == 0.0:
-        return math.inf
-    p_clean = float(np.mean(clean.samples**2))
-    return 10.0 * math.log10(p_clean / p_noise)

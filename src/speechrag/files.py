@@ -74,9 +74,9 @@ class Reader:
         return tuple(out)
 
     def f32(self, shape, what: str) -> np.ndarray:
+        """A read-only view of the next f32 block; no copy is made."""
         count = math.prod(shape)
-        arr = np.frombuffer(self.data, "<f4", count, self.take(4 * count, what))
-        return arr.reshape(shape).astype(np.float32)
+        return np.frombuffer(self.data, "<f4", count, self.take(4 * count, what)).reshape(shape)
 
 
 @contextmanager

@@ -5,6 +5,10 @@ cosine similarity is a plain dot product and there is a single canonical
 similarity path. Search is exact (full scan): at desk scale, approximation
 error must not be confounded with the retrieval quality under study.
 
+An index is one float64 row matrix over strictly ascending ids, so row order
+is id order and a stable sort by score breaks ties by ascending id. Rows are
+rounded to f32 when built, so a saved and reloaded index scores bit-identically.
+
 On-disk format, in the container of ``files``: magic ``SRAGIDX1`` | version
 u32 | H u32 | N u64 | N id strings | N x H f32 rows. A sibling format with
 magic ``SRAGEMB1`` stores raw (unnormalized) embeddings written by the CLI
@@ -14,7 +18,6 @@ magic ``SRAGEMB1`` stores raw (unnormalized) embeddings written by the CLI
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +30,16 @@ NORM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Index:
-    ids: tuple[str, ...]
-    matrix: np.ndarray  # N x H, rows unit-norm
+    ids: tuple[str, ...]  # strictly ascending
+    matrix: np.ndarray  # N x H float64, rows unit-norm, row i belongs to ids[i]
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.float64))
+        for prev, pid in zip(self.ids, self.ids[1:]):
+            if prev == pid:
+                raise ValueError(f"duplicate passage id {pid!r} in index")
+            if prev > pid:
+                raise ValueError(f"index ids not ascending: {pid!r} after {prev!r}")
 
     @property
     def dim(self) -> int:
@@ -36,23 +47,6 @@ class Index:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    # Search state derived once per index; like the index, never mutated.
-    @cached_property
-    def _matrix64(self) -> np.ndarray:
-        """The rows in float64, the precision every search scores in."""
-        matrix = self.matrix.astype(np.float64)
-        matrix.flags.writeable = False
-        return matrix
-
-    @cached_property
-    def _id_rank(self) -> np.ndarray:
-        """Each row's position when ids are sorted ascending; equal ids
-        keep row order, as a stable sort on the ids would."""
-        rank = np.empty(len(self.ids), dtype=np.intp)
-        rank[np.argsort(np.array(self.ids), kind="stable")] = np.arange(len(self.ids))
-        rank.flags.writeable = False
-        return rank
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,9 @@ class SearchResult:
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix.astype(np.float64), axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("zero vector cannot be indexed")
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    if not np.all((norms > 0.0) & np.isfinite(norms)):  # NaN fails both
+        raise ValueError("zero or non-finite vector cannot be indexed")
     return (matrix / norms).astype(np.float32)
 
 
@@ -88,9 +82,6 @@ def build(pairs) -> Index:
     if not pairs:
         raise ValueError("cannot build an empty index")
     ids = [str(pid) for pid, _ in pairs]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValueError(f"duplicate passage ids: {dupes}")
     dims = {np.asarray(vec).shape for _, vec in pairs}
     if len(dims) != 1 or len(next(iter(dims))) != 1:
         raise ValueError(f"inconsistent embedding shapes: {sorted(dims)}")
@@ -110,7 +101,7 @@ def search(index: Index, query: np.ndarray, k: int) -> SearchResult:
     norm = np.linalg.norm(query)
     if norm == 0.0:
         raise ValueError("cannot search with a zero query vector")
-    scores = index._matrix64 @ (query / norm)
+    scores = index.matrix @ (query / norm)
     n = scores.size
     if k < n:
         # Every row scoring at least the k-th best is a candidate, so all
@@ -120,9 +111,9 @@ def search(index: Index, query: np.ndarray, k: int) -> SearchResult:
         candidates = np.flatnonzero(~(scores < kth))
     else:
         candidates = np.arange(n)
-    # lexsort: primary key last. Ascending id breaks exact-score ties.
-    keys = (index._id_rank[candidates], -scores[candidates])
-    order = candidates[np.lexsort(keys)][:k]
+    # Candidates are ascending rows, so ascending ids: a stable sort breaks
+    # exact-score ties by id, and NaN sorts last.
+    order = candidates[np.argsort(-scores[candidates], kind="stable")][:k]
     return SearchResult(
         ranking=tuple((index.ids[i], float(scores[i])) for i in order)
     )
@@ -159,18 +150,20 @@ def save(index: Index, path) -> None:
 
 
 def load(path) -> Index:
-    """Load and verify an index: magic, version, dims, count, uniqueness,
-    and per-row unit norms."""
+    """Load and verify an index: magic, version, dims, count, strictly
+    ascending ids, and per-row unit norms."""
     ids, matrix = _read_matrix_file(path, INDEX_MAGIC)
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate ids in index file: {path}")
-    norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
-    bad = np.where(np.abs(norms - 1.0) > NORM_TOL)[0]
+    try:
+        index = Index(ids=ids, matrix=matrix)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: {path}") from None
+    norms = np.sqrt(np.einsum("ij,ij->i", index.matrix, index.matrix))  # no N x H temporary
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN fails `<=`
     if bad.size:
         raise ValueError(
             f"norm violation in row {bad[0]} (norm {norms[bad[0]]:.6f}): {path}"
         )
-    return Index(ids=ids, matrix=matrix)
+    return index
 
 
 def save_embeddings(path, ids, matrix: np.ndarray) -> None:

@@ -431,16 +431,6 @@ def evaluate_loss(items, speech, adapter, backbone) -> float:
     return total / len(items)
 
 
-def mean_cosine(corpus: Corpus, model: RetrieverModel) -> float:
-    """Mean cos(e_s, e_t) over a corpus; the training-progress measure."""
-    total = 0.0
-    for p in corpus.passages:
-        e_s = model.embed_speech(corpus.load_audio(p))
-        e_t = model.embed_text(p.transcript)
-        total += 1.0 - cosine_loss(e_s, e_t)
-    return total / len(corpus.passages)
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checking
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from speechrag.corpus import (
@@ -16,8 +18,10 @@ from speechrag.corpus import (
     _make_vocabulary,
     _word_waveform,
 )
-from speechrag.dsp import PCM_SCALE
+from speechrag.dsp import PCM_SCALE, AudioSignal, hz_to_mel, mel_to_hz
+from speechrag.encoder import RetrieverModel
 from speechrag.index import SearchResult
+from speechrag.training import cosine_loss
 
 
 def recall_at_k(results: dict[str, SearchResult], qrels: dict[str, str], k: int) -> float:
@@ -84,3 +88,35 @@ def write_wav_with_wave_module(path, samples: np.ndarray, sample_rate: int) -> N
         fh.setsampwidth(2)
         fh.setframerate(sample_rate)
         fh.writeframes(ints.tobytes())
+
+
+def measure_snr(clean: AudioSignal, noisy: AudioSignal) -> float:
+    """10*log10(P_clean / P_noise) with noise = noisy - clean; the oracle of
+    `dsp.add_noise_snr`. Returns +inf when the residual is exactly zero."""
+    if clean.samples.size != noisy.samples.size:
+        raise ValueError(
+            f"length mismatch: clean has {clean.samples.size} samples, "
+            f"noisy has {noisy.samples.size}"
+        )
+    noise = noisy.samples - clean.samples
+    p_noise = float(np.mean(noise**2))
+    if p_noise == 0.0:
+        return math.inf
+    p_clean = float(np.mean(clean.samples**2))
+    return 10.0 * math.log10(p_clean / p_noise)
+
+
+def mel_center_frequencies(n_mels: int, sample_rate: int) -> np.ndarray:
+    """Center frequency (Hz) of each triangular mel filter, 0 Hz to Nyquist."""
+    edges = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    return mel_to_hz(edges[1:-1])
+
+
+def mean_cosine(corpus: Corpus, model: RetrieverModel) -> float:
+    """Mean cos(e_s, e_t) over a corpus; the training-progress measure."""
+    total = 0.0
+    for p in corpus.passages:
+        e_s = model.embed_speech(corpus.load_audio(p))
+        e_t = model.embed_text(p.transcript)
+        total += 1.0 - cosine_loss(e_s, e_t)
+    return total / len(corpus.passages)

@@ -14,7 +14,7 @@ import pytest
 
 from speechrag.cli import main as cli_main
 from speechrag.corpus import SynthParams, corpus_words, synth_corpus
-from speechrag.dsp import AudioSignal, add_noise_snr, logmel, measure_snr
+from speechrag.dsp import AudioSignal, add_noise_snr, logmel
 from speechrag.encoder import Vocab, embed_text
 from speechrag.index import SearchResult, build, search
 from speechrag.ragpipe import (
@@ -28,9 +28,9 @@ from speechrag.ragpipe import (
     run_pipeline,
     wer,
 )
-from speechrag.training import build_model, grad_check, mean_cosine
+from speechrag.training import build_model, grad_check
 
-from oracles import recall_at_k
+from oracles import mean_cosine, measure_snr, recall_at_k
 
 SR = 16000
 

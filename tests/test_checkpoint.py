@@ -9,10 +9,14 @@ from speechrag.encoder import Vocab, backbone_checksum
 from speechrag.training import TrainConfig, build_model, trainable_tensors, train
 
 
+def small_splits():
+    corpus = synth_corpus(SynthParams(n_passages=6, vocabulary_size=10, words_per_passage=(4, 8), seed=2))
+    return corpus, *split(corpus, 0.5, 0.25, seed=2)[:2]
+
+
 @pytest.fixture(scope="module")
 def checkpoint():
-    corpus = synth_corpus(SynthParams(n_passages=6, vocabulary_size=10, words_per_passage=(4, 8), seed=2))
-    tr, va, _ = split(corpus, 0.5, 0.25, seed=2)
+    corpus, tr, va = small_splits()
     vocab = Vocab.from_words(corpus_words(corpus))
     model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=2)
     result = train(tr, va, TrainConfig(max_epochs=2, seed=2), model)
@@ -33,6 +37,18 @@ def test_roundtrip_bit_stable(checkpoint, tmp_path):
     assert loaded.epoch == checkpoint.epoch
     assert backbone_checksum(loaded.model.backbone) == backbone_checksum(checkpoint.model.backbone)
     assert loaded.model.feature_config == checkpoint.model.feature_config
+
+
+def test_loaded_tensors_are_read_only_and_still_train(checkpoint, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, path)
+    model = load_checkpoint(path).model
+    tensors = trainable_tensors(model.speech, model.adapter)
+    assert not any(arr.flags.writeable for arr in tensors.values())
+    _, tr, va = small_splits()
+    result = train(tr, va, TrainConfig(max_epochs=1, seed=3), model)
+    trained = trainable_tensors(result.checkpoint.model.speech, result.checkpoint.model.adapter)
+    assert any(not np.array_equal(trained[name], tensors[name]) for name in tensors)
 
 
 def test_double_save_byte_identical(checkpoint, tmp_path):

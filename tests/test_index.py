@@ -11,6 +11,7 @@ from speechrag.index import (
     EMB_MAGIC,
     INDEX_MAGIC,
     Index,
+    _write_matrix_file,
     build,
     load,
     load_embeddings,
@@ -60,6 +61,12 @@ def test_build_duplicate_id_rejected():
 def test_build_zero_vector_rejected():
     with pytest.raises(ValueError, match="zero"):
         build([("a", np.zeros(3))])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_build_non_finite_vector_rejected(value):
+    with pytest.raises(ValueError, match="non-finite vector"):
+        build([("a", np.ones(3)), ("b", np.array([1.0, value, 0.0]))])
 
 
 def test_build_dim_mismatch_rejected():
@@ -170,31 +177,61 @@ def test_fast_topk_equals_oracle_with_boundary_ties(n, k, copies, seed):
     query = rng.normal(size=6)
     # Copy the row ranked k-th over other rows, so exact ties straddle the
     # boundary between the rows kept and the rows dropped.
-    kth_row = np.argsort(-(matrix.astype(np.float64) @ query), kind="stable")[min(k, n) - 1]
+    kth_row = np.argsort(-(matrix @ query), kind="stable")[min(k, n) - 1]
     matrix[rng.choice(n, size=min(copies, n), replace=False)] = matrix[kth_row]
-    # An Index made directly need not hold its ids in sorted order.
-    index = Index(ids=tuple(f"p{i:03d}" for i in rng.permutation(n)), matrix=matrix)
+    # Shuffle the rows over ascending ids, so the tied rows land at any ids.
+    index = Index(ids=tuple(f"p{i:03d}" for i in range(n)), matrix=matrix[rng.permutation(n)])
     assert search(index, query, k).ranking == oracle_ranking(index, query, k)
 
 
 def test_identical_rows_rank_by_id_across_the_boundary():
     vec = np.array([0.6, 0.8], dtype=np.float32)
-    ids = ("m", "c", "x", "a", "q")
-    index = Index(ids=ids, matrix=np.tile(vec, (5, 1)))
+    index = build([(pid, vec) for pid in ("m", "c", "x", "a", "q")])
     assert search(index, vec, 2).ids == ["a", "c"]
     assert search(index, vec, 9).ids == ["a", "c", "m", "q", "x"]
 
 
-def test_search_state_is_derived_once_and_read_only():
-    index = build(random_pairs(30, 8, seed=13))
-    query = np.ones(8)
-    first = search(index, query, 5)
-    matrix64, id_rank = index._matrix64, index._id_rank
-    assert search(index, query, 5) == first
-    assert index._matrix64 is matrix64 and index._id_rank is id_rank
-    assert np.array_equal(matrix64, index.matrix.astype(np.float64))
-    for arr in (matrix64, id_rank):
-        assert not arr.flags.writeable
+@pytest.mark.parametrize(
+    "ids, message",
+    [(("b", "a"), "index ids not ascending: 'a' after 'b'"),
+     (("a", "b", "b"), "duplicate passage id 'b' in index"),
+     # Ids compare as strings, as build sorts them: "p10" < "p9".
+     (("p9", "p10"), "index ids not ascending: 'p10' after 'p9'")],
+)
+def test_index_rejects_unsorted_and_duplicate_ids(ids, message):
+    with pytest.raises(ValueError, match=message):
+        Index(ids=ids, matrix=np.eye(len(ids), 3))
+
+
+def test_index_holds_float64_rows():
+    index = Index(ids=("a", "b"), matrix=np.eye(2, dtype=np.float32))
+    assert index.matrix.dtype == np.float64
+    assert build(random_pairs(4, 3, seed=14)).matrix.dtype == np.float64
+
+
+@pytest.mark.parametrize("ids, message", [(("b", "a"), "not ascending"), (("a", "a"), "duplicate")])
+def test_load_rejects_unsorted_or_duplicate_ids_naming_the_path(tmp_path, ids, message):
+    path = tmp_path / "bad.sidx"
+    _write_matrix_file(path, INDEX_MAGIC, ids, np.eye(2, dtype=np.float32))
+    with pytest.raises(ValueError, match=message) as info:
+        load(path)
+    assert str(info.value).endswith(f": {path}")
+
+
+def test_reloaded_index_ranks_and_scores_bit_equal(tmp_path):
+    pairs = random_pairs(200, 16, seed=13)
+    pairs += [("p9000", pairs[5][1]), ("p9001", pairs[5][1])]  # exact ties
+    built = build(pairs)
+    save(built, tmp_path / "test.sidx")
+    loaded = load(tmp_path / "test.sidx")
+    assert loaded.ids == built.ids and np.array_equal(loaded.matrix, built.matrix)
+    rng = np.random.default_rng(14)
+    for query in [pairs[5][1], *rng.normal(size=(5, 16))]:
+        for k in (1, 5, 202):
+            got, want = search(loaded, query, k), search(built, query, k)
+            assert got.ids == want.ids
+            # Bit-equal, not approximately equal: both score the same float64 rows.
+            assert [s for _, s in got.ranking] == [s for _, s in want.ranking]
 
 
 def test_scaling_inputs_leaves_rankings_and_scores():
@@ -336,6 +373,14 @@ def test_tampered_row_norm_rejected(tmp_path):
     data[offset : offset + 4] = struct.pack("<f", 2.0)
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="norm violation"):
+        load(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_row_rejected(tmp_path, value):
+    path = tmp_path / "test.sidx"
+    _write_matrix_file(path, INDEX_MAGIC, ("a", "b"), np.array([[1.0, 0.0], [value, 0.0]]))
+    with pytest.raises(ValueError, match="norm violation in row 1"):
         load(path)
 
 

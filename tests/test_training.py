@@ -20,12 +20,13 @@ from speechrag.training import (
     cosine_loss,
     grad_check,
     loss_and_grads,
-    mean_cosine,
     params_from_tensors,
     train,
     trainable_tensors,
     _forward_item,
 )
+
+from oracles import mean_cosine
 
 
 @pytest.fixture(scope="module")
