@@ -7,6 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The projection starts near zero so that low-learning-rate training
+# dominates the initial direction of e_s.
+PROJ_STD = 1e-3
+
 
 @dataclass(frozen=True)
 class AdapterParams:
@@ -27,8 +31,6 @@ def make_adapter(
     dtype=np.float32,
     proj_std: float | None = None,
 ) -> AdapterParams:
-    from .encoder import PROJ_STD
-
     rng = np.random.default_rng([seed, 12])
     w = rng.normal(0.0, proj_std if proj_std is not None else PROJ_STD, (encoder_dim, hidden_dim))
     return AdapterParams(

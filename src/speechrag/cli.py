@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .corpus import corpus_words, load_manifest, save_manifest, split, synth_corpus
+from .corpus import SynthParams, corpus_words, load_manifest, save_manifest, split, synth_corpus
 from .encoder import Vocab
 from .index import build as build_index
 from .index import load as load_index
@@ -345,22 +345,7 @@ def cmd_eval_generation(config: RunConfig, args) -> int:
     )
     judge = HttpJudge(url, timeout_s) if config.judge == "external" else MockJudge()
     report = eval_generation(traces, judge=judge)
-    _write_jsonl(
-        config.path(config.report_dir) / f"traces_{mode.value}.jsonl",
-        [
-            {
-                "query_key": t.query_key,
-                "query": t.query,
-                "gold_answer": t.gold_answer,
-                "relevant_id": t.relevant_id,
-                "retrieved_ids": t.retrieved_ids,
-                "contexts": list(t.contexts),
-                "answer": t.answer,
-                "error": t.error,
-            }
-            for t in traces
-        ],
-    )
+    _write_jsonl(config.path(config.report_dir) / f"traces_{mode.value}.jsonl", traces)
     out = config.path(config.report_dir) / f"generation_{mode.value}.csv"
     _write_csv(
         out,
@@ -374,8 +359,6 @@ def cmd_eval_generation(config: RunConfig, args) -> int:
 
 
 def cmd_gradcheck(config: RunConfig, args) -> int:
-    from .corpus import SynthParams
-
     probe_corpus = synth_corpus(
         SynthParams(n_passages=4, vocabulary_size=24, seed=config.seed)
     )

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import AudioSignal, _wav_header, read_wav, write_wav
+from .encoder import words as split_words
 
 SYNTH_SAMPLE_RATE = 16000
 WORD_SECONDS = 0.1
@@ -139,8 +140,6 @@ def _check_references(queries, passage_ids) -> None:
 
 def corpus_words(corpus: Corpus) -> list[str]:
     """Sorted unique lowercase words across all transcripts and query texts."""
-    from .encoder import words as split_words
-
     seen: set[str] = set()
     for p in corpus.passages:
         seen.update(split_words(p.transcript))

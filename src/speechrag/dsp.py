@@ -71,26 +71,6 @@ class FeatureConfig:
         return int(round(self.hop * sample_rate))
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """T x n_mels log-mel energies plus the hop that produced them."""
-
-    data: np.ndarray
-    frame_hop: float
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 2:
-            raise ValueError(f"expected 2-D feature matrix, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("feature matrix contains non-finite values")
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-
 def _wav_header(fd: int, path) -> tuple[int, int, int, int, int]:
     """(sample rate, frame count, channels, sample width, data offset) of the
     WAV file open as descriptor `fd`. One read covers the header; a file in
@@ -235,9 +215,10 @@ def _frontend(frame: int, n_mels: int, fft_size: int, sample_rate: int):
     return window, bank
 
 
-def logmel(signal: AudioSignal, cfg: FeatureConfig | None = None) -> FeatureMatrix:
-    """Per frame: Hann window -> power spectrum -> triangular mel filterbank
-    -> natural log of (energy + log_floor).
+def logmel(signal: AudioSignal, cfg: FeatureConfig | None = None) -> np.ndarray:
+    """The T x n_mels float64 log-mel energies of `signal`. Per frame: Hann
+    window -> power spectrum -> triangular mel filterbank -> natural log of
+    (energy + log_floor).
 
     Frame count is floor((len - frame_len) / hop) + 1. Filtering the power
     spectrum makes the output covariant under amplitude scaling: multiplying
@@ -261,7 +242,11 @@ def logmel(signal: AudioSignal, cfg: FeatureConfig | None = None) -> FeatureMatr
     spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
     power = np.abs(spectrum) ** 2
     energies = power @ bank.T
-    return FeatureMatrix(np.log(energies + cfg.log_floor), cfg.hop)
+    features = np.log(energies + cfg.log_floor)
+    # Finite samples can still overflow the power spectrum.
+    if not np.all(np.isfinite(features)):
+        raise ValueError("feature matrix contains non-finite values")
+    return features
 
 
 def add_noise_snr(signal: AudioSignal, snr_db: float, seed: int) -> AudioSignal:

@@ -13,26 +13,25 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .adapter import AdapterParams, downsample, project
-from .dsp import AudioSignal, FeatureConfig, FeatureMatrix, logmel
+from .dsp import AudioSignal, FeatureConfig, logmel
 
 UNK = "<unk>"
 
 # Initialization scales. The first speech-encoder layer sees raw log-mel
 # values (magnitudes up to ~5 across 40 dims), so it must be small enough to
-# keep tanh units out of saturation. The projection starts near zero so that
-# low-learning-rate training dominates the initial direction of e_s. Token
-# embeddings carry a shared component several times the per-token spread:
-# embedding spaces of large text retrievers are strongly anisotropic, and the
-# shared direction is what a small speech branch can acquire quickly.
+# keep tanh units out of saturation. Token embeddings carry a shared
+# component several times the per-token spread: embedding spaces of large
+# text retrievers are strongly anisotropic, and the shared direction is what
+# a small speech branch can acquire quickly.
 TOKEN_EMBED_STD = 1.0
 TOKEN_EMBED_COMMON = 6.0
 MIXER_STD = 0.0625
 ENCODER_INPUT_STD = 0.3
-PROJ_STD = 1e-3
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -56,11 +55,9 @@ class Vocab:
     def size(self) -> int:
         return len(self.tokens)
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        if not hasattr(self, "_index"):
-            object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
-        return self._index
+        return {t: i for i, t in enumerate(self.tokens)}
 
     @property
     def unk_id(self) -> int:
@@ -239,8 +236,8 @@ def encoder_layers(x: np.ndarray, params: SpeechEncoderParams) -> list[np.ndarra
     return states
 
 
-def speech_encode(features, params: SpeechEncoderParams) -> np.ndarray:
-    x = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+def speech_encode(features: np.ndarray, params: SpeechEncoderParams) -> np.ndarray:
+    x = np.asarray(features)
     if x.ndim != 2:
         raise ValueError(f"expected T x n_mels features, got shape {x.shape}")
     x = x.astype(params.layers[0][0].dtype, copy=False)

@@ -23,6 +23,7 @@ import hashlib
 import json
 import urllib.error
 import urllib.request
+from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -206,11 +207,6 @@ class GenerationRequest:
         )
 
 
-@dataclass(frozen=True)
-class GenerationResponse:
-    answer: str
-
-
 class GeneratorError(RuntimeError):
     pass
 
@@ -232,13 +228,13 @@ class OracleGenerator:
             keys = {passage.transcript, audio_reference(passage)}
             self._by_query[q.text] = (q.gold_answer, keys)
 
-    def __call__(self, request: GenerationRequest) -> GenerationResponse:
+    def __call__(self, request: GenerationRequest) -> str:
         entry = self._by_query.get(request.query)
         if entry is None:
-            return GenerationResponse(answer="")
+            return ""
         gold, keys = entry
         hit = any(ctx in keys for ctx in request.contexts)
-        return GenerationResponse(answer=gold if hit else "")
+        return gold if hit else ""
 
 
 class HttpGenerator:
@@ -248,7 +244,7 @@ class HttpGenerator:
         self.url = url
         self.timeout_s = timeout_s
 
-    def __call__(self, request: GenerationRequest) -> GenerationResponse:
+    def __call__(self, request: GenerationRequest) -> str:
         req = urllib.request.Request(
             self.url,
             data=request.to_json().encode("utf-8"),
@@ -262,7 +258,7 @@ class HttpGenerator:
             raise GeneratorError(f"generator call to {self.url} failed: {exc}") from exc
         if "answer" not in payload:
             raise GeneratorError(f"generator response missing 'answer': {payload!r}")
-        return GenerationResponse(answer=str(payload["answer"]))
+        return str(payload["answer"])
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +282,6 @@ def exact_match(answer: str, gold: str) -> int:
 
 def token_f1(answer: str, gold: str) -> float:
     """Token-multiset F1 between normalized answer and gold."""
-    from collections import Counter
-
     a, g = Counter(words(answer)), Counter(words(gold))
     overlap = sum((a & g).values())
     if overlap == 0:
@@ -323,7 +317,7 @@ class HttpJudge:
             contexts=(f"Candidate answer: {answer}", f"Reference answer: {gold}"),
             instruction=JUDGE_INSTRUCTION,
         )
-        verdict = self._generator(request).answer.strip().lower()
+        verdict = self._generator(request).strip().lower()
         return int(verdict.startswith(("1", "yes", "correct")))
 
 
@@ -406,22 +400,6 @@ def _retrieve(
     return contexts, hits
 
 
-@dataclass(frozen=True)
-class Trace:
-    query_key: str
-    query: str
-    gold_answer: str
-    relevant_id: str
-    retrieved: tuple[tuple[str, float], ...]
-    contexts: tuple[str, ...]
-    answer: str = ""
-    error: str | None = None
-
-    @property
-    def retrieved_ids(self) -> list[str]:
-        return [pid for pid, _ in self.retrieved]
-
-
 def run_pipeline(
     corpus: Corpus,
     mode: PipelineMode,
@@ -431,33 +409,37 @@ def run_pipeline(
     corruption: CorruptionConfig | None = None,
     instruction: str = DEFAULT_INSTRUCTION,
     concurrency: int = 1,
-) -> list[Trace]:
+) -> list[dict]:
     """Retrieve top-k for every query over clean passage audio, build
-    per-mode contexts, call the generator, and record one trace per query.
-    Generator failures are recorded on the trace and the run continues."""
+    per-mode contexts, call the generator, and return one trace row per
+    query: the row that traces_<mode>.jsonl holds. A generator maps a
+    GenerationRequest to its answer string; an exception it raises is
+    recorded in the row's `error` (with an empty `answer`) and the run
+    continues."""
     generator = generator if generator is not None else OracleGenerator(corpus)
     context_by_id, hits = _retrieve(corpus, mode, model, k, corruption, None, 0)
 
-    def generate(hit) -> Trace:
+    def generate(hit) -> dict:
         key, q, result = hit
-        contexts = tuple(context_by_id[pid] for pid, _ in result.ranking)
+        ids = result.ids
+        contexts = [context_by_id[pid] for pid in ids]
         try:
-            response = generator(
-                GenerationRequest(query=q.text, contexts=contexts, instruction=instruction)
+            answer = generator(
+                GenerationRequest(query=q.text, contexts=tuple(contexts), instruction=instruction)
             )
-            answer, error = response.answer, None
+            error = None
         except Exception as exc:  # recorded per query; the run continues
             answer, error = "", f"{type(exc).__name__}: {exc}"
-        return Trace(
-            query_key=key,
-            query=q.text,
-            gold_answer=q.gold_answer,
-            relevant_id=q.relevant_passage_id,
-            retrieved=result.ranking,
-            contexts=contexts,
-            answer=answer,
-            error=error,
-        )
+        return {
+            "query_key": key,
+            "query": q.text,
+            "gold_answer": q.gold_answer,
+            "relevant_id": q.relevant_passage_id,
+            "retrieved_ids": ids,
+            "contexts": contexts,
+            "answer": answer,
+            "error": error,
+        }
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
@@ -515,55 +497,40 @@ class GenerationReport:
     em_mean: float
     correctness_mean: float
     rows: list[dict]
-    generator_errors: int = 0
-    judge_errors: int = 0
+    generator_errors: int
+    judge_errors: int
 
 
-def eval_generation(traces: list[Trace], judge=None) -> GenerationReport:
-    """Score traces with Exact Match and judge correctness. Judge failures
-    are excluded from the correctness mean and counted."""
+def eval_generation(traces: list[dict], judge=None) -> GenerationReport:
+    """Score run_pipeline's trace rows with Exact Match and judge
+    correctness, one row per trace. Judge failures are excluded from the
+    correctness mean and counted."""
     judge = judge or MockJudge()
     rows: list[dict] = []
-    em_total = 0
-    correct_total = 0
-    judged = 0
-    generator_errors = 0
-    judge_errors = 0
     for trace in traces:
-        em = exact_match(trace.answer, trace.gold_answer)
-        em_total += em
-        if trace.error is not None:
-            generator_errors += 1
-        correct: int | None
+        query, answer, gold = trace["query"], trace["answer"], trace["gold_answer"]
+        em = exact_match(answer, gold)
         try:
-            correct = judge(trace.query, trace.answer, trace.gold_answer)
-            correct_total += correct
-            judged += 1
+            correct, judge_error = judge(query, answer, gold), None
         except Exception as exc:
-            correct = None
-            judge_errors += 1
-            rows.append(_generation_row(trace, em, correct, f"{type(exc).__name__}: {exc}"))
-            continue
-        rows.append(_generation_row(trace, em, correct, None))
+            correct, judge_error = None, f"{type(exc).__name__}: {exc}"
+        rows.append({
+            "query_key": trace["query_key"],
+            "query": query,
+            "gold_answer": gold,
+            "answer": answer,
+            "exact_match": em,
+            "correct": correct,
+            "retrieved_ids": trace["retrieved_ids"],
+            "relevant_id": trace["relevant_id"],
+            "generator_error": trace["error"],
+            "judge_error": judge_error,
+        })
+    judged = [row["correct"] for row in rows if row["judge_error"] is None]
     return GenerationReport(
-        em_mean=em_total / len(traces) if traces else 0.0,
-        correctness_mean=correct_total / judged if judged else 0.0,
+        em_mean=sum(row["exact_match"] for row in rows) / len(rows) if rows else 0.0,
+        correctness_mean=sum(judged) / len(judged) if judged else 0.0,
         rows=rows,
-        generator_errors=generator_errors,
-        judge_errors=judge_errors,
+        generator_errors=sum(row["generator_error"] is not None for row in rows),
+        judge_errors=len(rows) - len(judged),
     )
-
-
-def _generation_row(trace: Trace, em: int, correct: int | None, judge_error: str | None) -> dict:
-    return {
-        "query_key": trace.query_key,
-        "query": trace.query,
-        "gold_answer": trace.gold_answer,
-        "answer": trace.answer,
-        "exact_match": em,
-        "correct": correct,
-        "retrieved_ids": trace.retrieved_ids,
-        "relevant_id": trace.relevant_id,
-        "generator_error": trace.error,
-        "judge_error": judge_error,
-    }

@@ -14,13 +14,14 @@ against central differences.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapter import AdapterParams, downsample
+from .adapter import AdapterParams, downsample, make_adapter
 from .corpus import Corpus
 from .dsp import FeatureConfig, logmel
 from .encoder import (
@@ -289,7 +290,7 @@ def _corpus_items(
     items = []
     for p in corpus.passages:
         signal = corpus.load_audio(p)
-        feats = logmel(signal, model.feature_config).data.astype(dtype)
+        feats = logmel(signal, model.feature_config).astype(dtype)
         target = embed_text(p.transcript, model.vocab, model.backbone).astype(dtype)
         items.append((feats, target))
     return items
@@ -310,8 +311,6 @@ def build_model(
     """Assemble a fresh model. `proj_std` overrides the near-zero training
     default; gradient checking uses a healthy scale there so finite
     differences probe a locally smooth loss."""
-    from .adapter import make_adapter
-
     cfg = feature_config or FeatureConfig()
     return RetrieverModel(
         vocab=vocab,
@@ -400,8 +399,6 @@ def train(
             }
             history.append(row)
             if log_fh:
-                import json
-
                 log_fh.write(json.dumps(row) + "\n")
             should_stop = stopper.update(epoch, val_loss)
             if stopper.best_epoch == epoch:

@@ -50,7 +50,7 @@ def test_criterion_01_gradient_correctness():
     model = build_model(vocab, seed=7, dtype=np.float64, proj_std=0.1)
     items = []
     for p in corpus.passages[:2]:
-        feats = logmel(corpus.load_audio(p), model.feature_config).data
+        feats = logmel(corpus.load_audio(p), model.feature_config)
         items.append((feats, embed_text(p.transcript, model.vocab, model.backbone)))
     started = time.monotonic()
     err = grad_check(model, items, probe_count=5, eps=1e-4, seed=7)
@@ -196,7 +196,7 @@ def test_criterion_08_metric_truth_tables():
 def test_criterion_09_pipeline_consistency(trained_model, seed7_corpus):
     speech = run_pipeline(seed7_corpus, PipelineMode.SPEECH_RAG, trained_model, k=5)
     semi = run_pipeline(seed7_corpus, PipelineMode.SEMI_CASCADED, trained_model, k=5)
-    ids_equal = all(a.retrieved_ids == b.retrieved_ids for a, b in zip(speech, semi))
+    ids_equal = all(a["retrieved_ids"] == b["retrieved_ids"] for a, b in zip(speech, semi))
 
     gt_traces = run_pipeline(seed7_corpus, PipelineMode.GT_TEXT, trained_model, k=5)
     em = eval_generation(gt_traces).em_mean

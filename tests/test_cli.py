@@ -191,7 +191,25 @@ def test_eval_generation_outputs(workspace):
     assert csv_lines[1].startswith("gt_text,")
     traces = [json.loads(l) for l in (root / "reports/traces_gt_text.jsonl").read_text().splitlines()]
     assert len(traces) == 10
-    assert {"query", "retrieved_ids", "contexts", "answer"} <= set(traces[0])
+    trace_keys = {"query_key", "query", "gold_answer", "relevant_id", "retrieved_ids",
+                  "contexts", "answer", "error"}
+    assert all(set(t) == trace_keys for t in traces)
+    rows_path = root / "reports/generation_gt_text_rows.jsonl"
+    rows = [json.loads(l) for l in rows_path.read_text().splitlines()]
+    assert len(rows) == 10
+    assert all(set(r) == {"query_key", "query", "gold_answer", "answer", "exact_match", "correct",
+                          "retrieved_ids", "relevant_id", "generator_error", "judge_error"}
+               for r in rows)
+
+    # A generator that fails on every query: each row records the error and
+    # an empty answer, and the run still writes its reports.
+    assert run("eval-generation", "--config", config, "--mode", "gt_text",
+               "--generator-url", "http://127.0.0.1:1/") == 0
+    failed = json.loads((root / "reports/traces_gt_text.jsonl").read_text().splitlines()[0])
+    assert set(failed) == trace_keys
+    assert "GeneratorError" in failed["error"] and failed["answer"] == ""
+    summary = (root / "reports/generation_gt_text.csv").read_text().splitlines()[1]
+    assert summary.split(",")[-2:] == ["10", "0"]
 
 
 def test_gradcheck_passes(workspace, capsys):

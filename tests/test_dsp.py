@@ -125,12 +125,12 @@ def test_short_data_chunk_rejected_with_value_error(tmp_path):
 def test_silence_hits_log_floor():
     cfg = FeatureConfig()
     feats = logmel(AudioSignal(np.zeros(SR), SR), cfg)
-    assert np.allclose(feats.data, math.log(cfg.log_floor))
+    assert np.allclose(feats, math.log(cfg.log_floor))
 
 
 def test_frame_count_one_second():
     feats = logmel(sine(300, 1.0))
-    assert feats.n_frames == 49  # floor((16000 - 400) / 320) + 1
+    assert feats.shape[0] == 49  # floor((16000 - 400) / 320) + 1
 
 
 def test_frame_count_formula_various_lengths():
@@ -138,7 +138,16 @@ def test_frame_count_formula_various_lengths():
     for n in (400, 401, 720, 1000, 16000, 33333):
         signal = AudioSignal(np.ones(n) * 0.1, SR)
         expected = (n - 400) // 320 + 1
-        assert logmel(signal, cfg).n_frames == expected
+        assert logmel(signal, cfg).shape[0] == expected
+
+
+def test_logmel_is_a_float64_array_and_rejects_an_overflowing_spectrum():
+    feats = logmel(sine(300, 1.0))
+    assert isinstance(feats, np.ndarray) and feats.dtype == np.float64
+    # Finite samples this large square to inf in the power spectrum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            logmel(AudioSignal(np.full(SR, 1e200), SR))
 
 
 def test_too_short_signal_rejected():
@@ -152,7 +161,7 @@ def test_440hz_peak_matches_analytic_center():
     centers = mel_center_frequencies(cfg.n_mels, SR)
     expected_bin = int(np.argmin(np.abs(centers - 440.0)))
     feats = logmel(sine(440.0, 1.0), cfg)
-    argmax_per_frame = np.argmax(feats.data, axis=1)
+    argmax_per_frame = np.argmax(feats, axis=1)
     assert np.all(argmax_per_frame == expected_bin)
 
 
@@ -169,8 +178,8 @@ def test_scale_covariance_adds_two_log_c():
     base = sine(700.0, 0.5, amp=0.4)
     c = 3.0
     scaled = AudioSignal(base.samples * c, SR)
-    lo = logmel(base, cfg).data
-    hi = logmel(scaled, cfg).data
+    lo = logmel(base, cfg)
+    hi = logmel(scaled, cfg)
     # Only meaningful where energies dominate the log floor (the floor term
     # perturbs the log by ~floor/E, so demand E >= e^16 * floor).
     mask = lo > math.log(cfg.log_floor) + 16.0
@@ -201,14 +210,14 @@ def test_logmel_equals_uncached_reference_bit_for_bit():
         for sr in (16000, 8000):
             for cfg in configs:
                 signal = AudioSignal(0.3 * rng.normal(size=int(0.77 * sr)), sr)
-                assert np.array_equal(logmel(signal, cfg).data, reference_logmel(signal, cfg))
+                assert np.array_equal(logmel(signal, cfg), reference_logmel(signal, cfg))
 
 
 def test_logmel_frames_a_strided_signal_like_a_contiguous_one():
     samples = np.random.default_rng(1).normal(size=2 * SR) * 0.2
     strided = AudioSignal(samples[::2], SR)
     contiguous = AudioSignal(samples[::2].copy(), SR)
-    assert np.array_equal(logmel(strided).data, logmel(contiguous).data)
+    assert np.array_equal(logmel(strided), logmel(contiguous))
 
 
 def test_cached_window_and_filterbank_are_read_only():

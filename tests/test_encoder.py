@@ -232,7 +232,7 @@ def test_shape_contract_feature_and_adapter_rows(untrained_model):
         signal = AudioSignal(0.2 * np.sin(2 * np.pi * 440 * np.arange(n) / SR), SR)
         feats = logmel(signal, untrained_model.feature_config)
         expected_t = math.floor((seconds - 0.025) / 0.020) + 1
-        assert feats.n_frames == expected_t
+        assert feats.shape[0] == expected_t
         encoded = speech_encode(feats, untrained_model.speech)
         from speechrag.adapter import downsample
 

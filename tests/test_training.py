@@ -43,7 +43,7 @@ def small_model(small_corpus):
 def make_items(corpus, model, count=2):
     items = []
     for p in corpus.passages[:count]:
-        feats = logmel(corpus.load_audio(p), model.feature_config).data
+        feats = logmel(corpus.load_audio(p), model.feature_config)
         target = embed_text(p.transcript, model.vocab, model.backbone)
         items.append((feats.astype(np.float64), np.asarray(target, dtype=np.float64)))
     return items
@@ -90,7 +90,7 @@ def test_cosine_loss_zero_norm_guarded():
 
 def test_zero_loss_batch_has_zero_gradients(small_corpus, small_model):
     feats = logmel(small_corpus.load_audio(small_corpus.passages[0]),
-                   small_model.feature_config).data
+                   small_model.feature_config)
     e_s, _ = _forward_item(feats, small_model.speech, small_model.adapter, small_model.backbone)
     # Target proportional to the model's own output: zero loss up to the
     # 1e-12 norm guard inside the cosine.
@@ -189,7 +189,7 @@ def test_non_finite_activation_reports_layer(small_corpus, small_model):
     # Finite features whose first non-finite value appears later: the error
     # names that stage, not one the non-finite values reach after it.
     feats = logmel(small_corpus.load_audio(small_corpus.passages[0]),
-                   small_model.feature_config).data
+                   small_model.feature_config)
     assert len(small_model.backbone.layers) == 2
     for stage in ("adapter projection", "backbone layer 0", "backbone layer 1"):
         model = _poisoned(small_model, stage)
@@ -206,7 +206,7 @@ def test_training_forward_equals_inference_embedding(small_corpus, dtype):
     model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=4, dtype=dtype, proj_std=0.1)
     for p in small_corpus.passages[:3]:
         signal = small_corpus.load_audio(p)
-        feats = logmel(signal, model.feature_config).data.astype(dtype)
+        feats = logmel(signal, model.feature_config).astype(dtype)
         e_s, _ = _forward_item(feats, model.speech, model.adapter, model.backbone)
         expected = model.embed_speech(signal)
         assert e_s.dtype == expected.dtype == dtype
