@@ -18,10 +18,6 @@ class AdapterParams:
     b_proj: np.ndarray  # H
     downsample_factor: int = 4
 
-    def __post_init__(self):
-        if self.downsample_factor < 1:
-            raise ValueError("downsample_factor must be >= 1")
-
 
 def make_adapter(
     encoder_dim: int = 64,
@@ -44,11 +40,6 @@ def downsample(seq: np.ndarray, factor: int) -> np.ndarray:
     """Average consecutive non-overlapping windows of `factor` rows; a final
     partial window is averaged over its actual length. Output has exactly
     ceil(T / factor) rows."""
-    seq = np.asarray(seq)
-    if seq.ndim != 2 or seq.shape[0] < 1:
-        raise ValueError(f"cannot downsample empty or non-2-D sequence of shape {seq.shape}")
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
     n_rows = seq.shape[0]
     starts = np.arange(0, n_rows, factor)
     sums = np.add.reduceat(seq, starts, axis=0)
@@ -57,12 +48,4 @@ def downsample(seq: np.ndarray, factor: int) -> np.ndarray:
 
 
 def project(seq: np.ndarray, params: AdapterParams) -> np.ndarray:
-    seq = np.asarray(seq)
-    if seq.ndim != 2:
-        raise ValueError(f"expected a 2-D sequence, got shape {seq.shape}")
-    if seq.shape[1] != params.w_proj.shape[0]:
-        raise ValueError(
-            f"sequence width {seq.shape[1]} does not match projection rows "
-            f"{params.w_proj.shape[0]}"
-        )
     return seq @ params.w_proj + params.b_proj

@@ -1,12 +1,13 @@
 """Binary checkpoint serialization.
 
 Layout, in the container of ``files``: magic ``SRAGCKPT`` | version u32 |
-metadata JSON string (vocab table, backbone seed and dims, feature and
-train config, best val loss, epoch) | tensor count u32 | per tensor: name
-string | rank u32 | dims u64 each | f32 data.
+metadata JSON string (vocab table, backbone seed, dims and checksum,
+feature and train config, best val loss, epoch) | tensor count u32 | per
+tensor: name string | rank u32 | dims u64 each | f32 data.
 
 Only trainable tensors are stored; the frozen backbone is regenerated
-bit-exactly from its seed and dims. A checkpoint saved and reloaded is
+bit-exactly from its seed and dims, and a load rejects one whose checksum
+differs from the saved model's. A checkpoint saved and reloaded is
 bit-stable.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import files
 from .dsp import FeatureConfig
-from .encoder import RetrieverModel, Vocab, make_backbone
+from .encoder import RetrieverModel, Vocab, backbone_checksum, make_backbone
 from .training import Checkpoint, TrainConfig, params_from_tensors, trainable_tensors
 
 MAGIC = b"SRAGCKPT"
@@ -33,6 +34,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             "seed": model.backbone.seed,
             "hidden_dim": model.backbone.hidden_dim,
             "n_layers": len(model.backbone.layers),
+            "checksum": backbone_checksum(model.backbone),
         },
         "encoder_layers": len(model.speech.layers),
         "downsample_factor": model.adapter.downsample_factor,
@@ -63,7 +65,10 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = src.f32(dims, f"tensor data for {name}")
 
     # Metadata of the wrong shape (a missing or extra key, a wrong type)
-    # fails while the model is built; every such failure names the file.
+    # fails while its parts are built, and tensors that do not fit them (a
+    # missing or extra name, a wrong shape) while the model is; every such
+    # failure names the file.
+    fault = "metadata"
     try:
         meta = json.loads(meta_json)
         vocab = Vocab(tokens=tuple(meta["vocab"]))
@@ -71,22 +76,17 @@ def load_checkpoint(path) -> Checkpoint:
         backbone = make_backbone(
             vocab.size, bb["hidden_dim"], bb["n_layers"], bb["seed"], np.float32
         )
-        speech, adapter = params_from_tensors(
-            tensors, meta["encoder_layers"], meta["downsample_factor"]
-        )
-        model = RetrieverModel(
-            vocab=vocab,
-            backbone=backbone,
-            speech=speech,
-            adapter=adapter,
-            feature_config=FeatureConfig(**meta["feature"]),
-        )
-        return Checkpoint(
-            model=model,
-            train_config=TrainConfig(**meta["train_config"]),
-            best_val_loss=meta["best_val_loss"],
-            epoch=meta["epoch"],
-        )
+        if backbone_checksum(backbone) != bb["checksum"]:
+            raise ValueError(f"backbone checksum mismatch: seed {bb['seed']} regenerates "
+                             "another backbone than the saved model's")
+        feature_config = FeatureConfig(**meta["feature"])
+        train_config = TrainConfig(**meta["train_config"])
+        best_val_loss, epoch = meta["best_val_loss"], meta["epoch"]
+        n_encoder_layers, downsample_factor = meta["encoder_layers"], meta["downsample_factor"]
+        fault = "tensors"
+        speech, adapter = params_from_tensors(tensors, n_encoder_layers, downsample_factor)
+        model = RetrieverModel(vocab, backbone, speech, adapter, feature_config)
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"corrupt checkpoint (metadata: {detail}): {path}") from exc
+        raise ValueError(f"corrupt checkpoint ({fault}: {detail}): {path}") from exc
+    return Checkpoint(model, train_config, best_val_loss, epoch)

@@ -366,7 +366,7 @@ def cmd_gradcheck(config: RunConfig, args) -> int:
     # Probe at a healthy projection scale: the training init is nearly zero,
     # where finite differences measure curvature rather than gradient error.
     model = _build_model(config, vocab, config.seed, dtype=np.float64, proj_std=0.1)
-    items = _corpus_items(probe_corpus, model, np.float64)[:2]
+    items = _corpus_items(probe_corpus, model)[:2]
     err = grad_check(model, items, probe_count=args.probes, eps=args.eps, seed=config.seed)
     passed = err <= GRADCHECK_THRESHOLD
     print(f"max relative error: {err:.3e} (threshold {GRADCHECK_THRESHOLD:g}) "

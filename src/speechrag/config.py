@@ -72,6 +72,9 @@ class RunConfig:
             raise ValueError("k_values must be positive and sorted ascending")
         if not 0.0 <= self.target_wer < 1.0:
             raise ValueError("target_wer must lie in [0, 1)")
+        mix = self.corruption_mix
+        if min(mix) < 0.0 or abs(sum(mix) - 1.0) > 1e-9:
+            raise ValueError(f"corruption_mix must be non-negative and sum to 1, got {mix}")
         # +inf is the no-noise point; NaN and -inf set no noise level.
         if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid):
             raise ValueError(f"snr_grid values must be numbers or inf, got {self.snr_grid}")

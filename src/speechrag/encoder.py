@@ -194,20 +194,10 @@ def backbone_forward(seq: np.ndarray, params: BackboneParams) -> np.ndarray:
     (it sharpens rows against their context without destroying the pooled
     content).
     """
-    x = np.asarray(seq)
-    if x.ndim != 2:
-        raise ValueError(f"expected a T x H sequence, got shape {x.shape}")
-    if x.shape[1] != params.hidden_dim:
-        raise ValueError(
-            f"sequence width {x.shape[1]} does not match backbone width {params.hidden_dim}"
-        )
-    return backbone_layers(x, params)[0][-1]
+    return backbone_layers(seq, params)[0][-1]
 
 
 def pool(seq: np.ndarray) -> np.ndarray:
-    seq = np.asarray(seq)
-    if seq.ndim != 2 or seq.shape[0] < 1:
-        raise ValueError(f"cannot pool an empty or non-2-D sequence of shape {seq.shape}")
     return seq.mean(axis=0)
 
 
@@ -237,18 +227,7 @@ def encoder_layers(x: np.ndarray, params: SpeechEncoderParams) -> list[np.ndarra
 
 
 def speech_encode(features: np.ndarray, params: SpeechEncoderParams) -> np.ndarray:
-    x = np.asarray(features)
-    if x.ndim != 2:
-        raise ValueError(f"expected T x n_mels features, got shape {x.shape}")
-    x = x.astype(params.layers[0][0].dtype, copy=False)
-    width = x.shape[1]
-    for k, (w, _) in enumerate(params.layers):
-        if width != w.shape[0]:
-            raise ValueError(
-                f"layer {k}: input width {width} does not match weight rows {w.shape[0]}"
-            )
-        width = w.shape[1]
-    return encoder_layers(x, params)[-1]
+    return encoder_layers(features.astype(params.layers[0][0].dtype, copy=False), params)[-1]
 
 
 def embed_speech(
@@ -267,13 +246,44 @@ def embed_speech(
 
 @dataclass(frozen=True)
 class RetrieverModel:
-    """Bundle of everything needed to embed either modality."""
+    """Bundle of everything needed to embed either modality. Building one
+    checks once the shapes its layer functions rely on: n_mels through each
+    encoder layer and the projection to the backbone width, a token row per
+    vocab entry, and one dtype for every tensor."""
 
     vocab: Vocab
     backbone: BackboneParams
     speech: SpeechEncoderParams
     adapter: AdapterParams
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
+
+    def __post_init__(self):
+        if not self.speech.layers:
+            raise ValueError("the speech encoder needs at least one layer")
+        if self.adapter.downsample_factor < 1:
+            raise ValueError("downsample_factor must be >= 1")
+        if (rows := len(self.backbone.token_embedding)) != self.vocab.size:
+            raise ValueError(f"token embedding has {rows} rows for a vocab of {self.vocab.size}")
+        width = self.feature_config.n_mels
+        for k, (w, b) in enumerate(self.speech.layers):
+            if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+                raise ValueError(f"encoder layer {k}: weight {w.shape} and bias {b.shape} "
+                                 f"do not take input width {width}")
+            width = w.shape[1]
+        w_proj, b_proj, hidden = self.adapter.w_proj, self.adapter.b_proj, self.backbone.hidden_dim
+        if w_proj.shape != (width, hidden) or b_proj.shape != (hidden,):
+            raise ValueError(f"projection {w_proj.shape} and bias {b_proj.shape} do not map "
+                             f"encoder width {width} to backbone width {hidden}")
+        tensors = [self.backbone.token_embedding, w_proj, b_proj]
+        tensors += [arr for layer in self.speech.layers for arr in layer]
+        tensors += [arr for layer in self.backbone.layers for arr in vars(layer).values()]
+        if len(dtypes := {arr.dtype for arr in tensors}) != 1:
+            raise ValueError(f"model tensors mix dtypes {sorted(map(str, dtypes))}")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every tensor of the model."""
+        return self.adapter.w_proj.dtype
 
     def embed_text(self, text: str) -> np.ndarray:
         return embed_text(text, self.vocab, self.backbone)

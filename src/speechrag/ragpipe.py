@@ -130,9 +130,9 @@ class CorruptionConfig:
     def __post_init__(self):
         if not 0.0 <= self.target_wer < 1.0:
             raise ValueError("target_wer must lie in [0, 1)")
-        total = self.sub_weight + self.del_weight + self.ins_weight
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"operation mix weights must sum to 1, got {total}")
+        weights = (self.sub_weight, self.del_weight, self.ins_weight)
+        if min(weights) < 0.0 or abs(sum(weights) - 1.0) > 1e-9:
+            raise ValueError(f"operation mix weights must be non-negative and sum to 1: {weights}")
 
 
 def _text_rng(seed: int, text: str) -> np.random.Generator:
@@ -449,7 +449,6 @@ def run_pipeline(
 
 @dataclass
 class RetrievalReport:
-    mode: str
     recalls: dict[int, float]
     rows: list[dict] = field(default_factory=list)
     passage_wer: float | None = None
@@ -489,7 +488,7 @@ def retrieval_run(
         passage_wer = corpus_wer((p.transcript, contexts[p.id]) for p in corpus.passages)
     elif mode is PipelineMode.GT_TEXT:
         passage_wer = 0.0
-    return RetrievalReport(mode=mode.value, recalls=recalls, rows=rows, passage_wer=passage_wer)
+    return RetrievalReport(recalls=recalls, rows=rows, passage_wer=passage_wer)
 
 
 @dataclass
@@ -503,17 +502,20 @@ class GenerationReport:
 
 def eval_generation(traces: list[dict], judge=None) -> GenerationReport:
     """Score run_pipeline's trace rows with Exact Match and judge
-    correctness, one row per trace. Judge failures are excluded from the
-    correctness mean and counted."""
+    correctness, one row per trace. A trace whose generator raised has no
+    answer to score: its row's scores are None and the judge is not called.
+    Generator and judge failures are excluded from the means and counted."""
     judge = judge or MockJudge()
     rows: list[dict] = []
     for trace in traces:
         query, answer, gold = trace["query"], trace["answer"], trace["gold_answer"]
-        em = exact_match(answer, gold)
-        try:
-            correct, judge_error = judge(query, answer, gold), None
-        except Exception as exc:
-            correct, judge_error = None, f"{type(exc).__name__}: {exc}"
+        em = correct = judge_error = None
+        if trace["error"] is None:
+            em = exact_match(answer, gold)
+            try:
+                correct = judge(query, answer, gold)
+            except Exception as exc:
+                judge_error = f"{type(exc).__name__}: {exc}"
         rows.append({
             "query_key": trace["query_key"],
             "query": query,
@@ -526,11 +528,12 @@ def eval_generation(traces: list[dict], judge=None) -> GenerationReport:
             "generator_error": trace["error"],
             "judge_error": judge_error,
         })
-    judged = [row["correct"] for row in rows if row["judge_error"] is None]
+    scored = [row["exact_match"] for row in rows if row["exact_match"] is not None]
+    judged = [row["correct"] for row in rows if row["correct"] is not None]
     return GenerationReport(
-        em_mean=sum(row["exact_match"] for row in rows) / len(rows) if rows else 0.0,
+        em_mean=sum(scored) / len(scored) if scored else 0.0,
         correctness_mean=sum(judged) / len(judged) if judged else 0.0,
         rows=rows,
         generator_errors=sum(row["generator_error"] is not None for row in rows),
-        judge_errors=len(rows) - len(judged),
+        judge_errors=sum(row["judge_error"] is not None for row in rows),
     )

@@ -87,12 +87,15 @@ def params_from_tensors(
         (tensors[f"encoder/{k}/w"], tensors[f"encoder/{k}/b"])
         for k in range(n_encoder_layers)
     )
+    speech = SpeechEncoderParams(layers=layers)
     adapter = AdapterParams(
         w_proj=tensors["adapter/w_proj"],
         b_proj=tensors["adapter/b_proj"],
         downsample_factor=downsample_factor,
     )
-    return SpeechEncoderParams(layers=layers), adapter
+    if extra := tensors.keys() - trainable_tensors(speech, adapter).keys():
+        raise ValueError(f"unexpected tensors {sorted(extra)}")
+    return speech, adapter
 
 
 @dataclass
@@ -137,18 +140,10 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-def cosine_loss(e_s: np.ndarray, e_t: np.ndarray) -> float:
-    """1 - cos(e_s, e_t); norms are guarded with 1e-12 so silence-only
-    embeddings cannot produce NaN. Value lies in [0, 2]."""
-    e_s = np.asarray(e_s, dtype=np.float64)
-    e_t = np.asarray(e_t, dtype=np.float64)
-    ns = math.sqrt(float(e_s @ e_s)) + NORM_GUARD
-    nt = math.sqrt(float(e_t @ e_t)) + NORM_GUARD
-    return 1.0 - float(e_s @ e_t) / (ns * nt)
-
-
 def _cosine_loss_grad(e_s: np.ndarray, e_t: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and dL/de_s, differentiating the guarded expression exactly."""
+    """The loss 1 - cos(e_s, e_t) and dL/de_s, differentiating the guarded
+    expression exactly. Norms are guarded with 1e-12 so silence-only
+    embeddings cannot produce NaN; the loss lies in [0, 2]."""
     r = math.sqrt(float(e_s @ e_s))
     rt = math.sqrt(float(e_t @ e_t))
     ns, nt = r + NORM_GUARD, rt + NORM_GUARD
@@ -284,14 +279,13 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
-def _corpus_items(
-    corpus: Corpus, model: RetrieverModel, dtype
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _corpus_items(corpus: Corpus, model: RetrieverModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(features, text target) per passage, in the model's dtype."""
     items = []
     for p in corpus.passages:
         signal = corpus.load_audio(p)
-        feats = logmel(signal, model.feature_config).astype(dtype)
-        target = embed_text(p.transcript, model.vocab, model.backbone).astype(dtype)
+        feats = logmel(signal, model.feature_config).astype(model.dtype)
+        target = embed_text(p.transcript, model.vocab, model.backbone).astype(model.dtype)
         items.append((feats, target))
     return items
 
@@ -338,9 +332,8 @@ def train(
     if not train_corpus.passages or not val_corpus.passages:
         raise ValueError("train and val corpora must be non-empty")
 
-    dtype = model.adapter.w_proj.dtype
-    train_items = _corpus_items(train_corpus, model, dtype)
-    val_items = _corpus_items(val_corpus, model, dtype)
+    train_items = _corpus_items(train_corpus, model)
+    val_items = _corpus_items(val_corpus, model)
 
     tensors = dict(trainable_tensors(model.speech, model.adapter))
     n_enc = len(model.speech.layers)
@@ -421,10 +414,11 @@ def train(
 
 
 def evaluate_loss(items, speech, adapter, backbone) -> float:
+    """Mean cosine loss over (features, target) items, taken in float64."""
     total = 0.0
     for features, target in items:
         e_s, _ = _forward_item(features, speech, adapter, backbone)
-        total += cosine_loss(e_s, target)
+        total += _cosine_loss_grad(e_s.astype(np.float64), target.astype(np.float64))[0]
     return total / len(items)
 
 
@@ -444,8 +438,8 @@ def grad_check(
     `probe_count` randomly chosen scalar parameters per trainable tensor.
     Returns the maximum relative error. The model must be double precision;
     probes perturb copies of its trainable tensors, never the model's own."""
-    if model.adapter.w_proj.dtype != np.float64:
-        raise ValueError(f"grad_check needs a float64 model, got {model.adapter.w_proj.dtype}")
+    if model.dtype != np.float64:
+        raise ValueError(f"grad_check needs a float64 model, got {model.dtype}")
     tensors = {k: v.copy() for k, v in trainable_tensors(model.speech, model.adapter).items()}
     speech, adapter = params_from_tensors(
         tensors, len(model.speech.layers), model.adapter.downsample_factor

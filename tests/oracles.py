@@ -21,7 +21,7 @@ from speechrag.corpus import (
 from speechrag.dsp import PCM_SCALE, AudioSignal, hz_to_mel, mel_to_hz
 from speechrag.encoder import RetrieverModel
 from speechrag.index import SearchResult
-from speechrag.training import cosine_loss
+from speechrag.training import NORM_GUARD
 
 
 def recall_at_k(results: dict[str, SearchResult], qrels: dict[str, str], k: int) -> float:
@@ -110,6 +110,16 @@ def mel_center_frequencies(n_mels: int, sample_rate: int) -> np.ndarray:
     """Center frequency (Hz) of each triangular mel filter, 0 Hz to Nyquist."""
     edges = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
     return mel_to_hz(edges[1:-1])
+
+
+def cosine_loss(e_s: np.ndarray, e_t: np.ndarray) -> float:
+    """1 - cos(e_s, e_t) in float64, with both norms guarded by NORM_GUARD;
+    the oracle of `training._cosine_loss_grad`'s loss."""
+    e_s = np.asarray(e_s, dtype=np.float64)
+    e_t = np.asarray(e_t, dtype=np.float64)
+    ns = math.sqrt(float(e_s @ e_s)) + NORM_GUARD
+    nt = math.sqrt(float(e_t @ e_t)) + NORM_GUARD
+    return 1.0 - float(e_s @ e_t) / (ns * nt)
 
 
 def mean_cosine(corpus: Corpus, model: RetrieverModel) -> float:

@@ -26,11 +26,6 @@ def test_downsample_partial_window_averages_actual_length():
     assert np.allclose(out, np.array([[2.5], [5.5]]))  # mean(1..4), mean(5, 6)
 
 
-def test_downsample_empty_rejected():
-    with pytest.raises(ValueError):
-        downsample(np.zeros((0, 3)), 4)
-
-
 def test_downsample_output_length_is_ceil():
     for t in range(1, 20):
         seq = np.ones((t, 2))
@@ -74,12 +69,6 @@ def test_project_identity():
     assert np.allclose(project(x, params), x)
 
 
-def test_project_dimension_mismatch():
-    params = AdapterParams(w_proj=np.zeros((4, 3)), b_proj=np.zeros(3), downsample_factor=4)
-    with pytest.raises(ValueError, match="width"):
-        project(np.zeros((5, 6)), params)
-
-
 def test_project_jvp_matches_finite_differences():
     # Central differences on a scalar functional of the projection output.
     rng = np.random.default_rng(3)
@@ -113,8 +102,3 @@ def test_project_jvp_matches_finite_differences():
         numeric = (plus - minus) / (2 * eps)
         worst = max(worst, abs(numeric - analytic_b[j]) / max(abs(numeric), 1e-8))
     assert worst <= 1e-4
-
-
-def test_adapter_params_validation():
-    with pytest.raises(ValueError):
-        AdapterParams(w_proj=np.zeros((2, 2)), b_proj=np.zeros(2), downsample_factor=0)

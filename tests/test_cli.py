@@ -12,6 +12,7 @@ from speechrag.checkpoint import save_checkpoint
 from speechrag.cli import main
 from speechrag.config import RunConfig, load_config
 from speechrag.encoder import Vocab
+from speechrag.ragpipe import MockJudge
 from speechrag.training import Checkpoint, TrainConfig, build_model
 
 FAST_CONFIG = {
@@ -210,6 +211,23 @@ def test_eval_generation_outputs(workspace):
     assert "GeneratorError" in failed["error"] and failed["answer"] == ""
     summary = (root / "reports/generation_gt_text.csv").read_text().splitlines()[1]
     assert summary.split(",")[-2:] == ["10", "0"]
+
+
+def test_generator_failure_is_neither_judged_nor_scored(workspace, monkeypatch):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    judged = []
+    monkeypatch.setattr(MockJudge, "__call__", lambda self, *args: judged.append(args) or 1)
+    assert run("eval-generation", "--config", config, "--mode", "gt_text",
+               "--generator-url", "http://127.0.0.1:1/") == 0
+    assert judged == []
+    rows_path = root / "reports/generation_gt_text_rows.jsonl"
+    rows = [json.loads(line) for line in rows_path.read_text().splitlines()]
+    assert len(rows) == 10
+    assert all(r["exact_match"] is None and r["correct"] is None and r["generator_error"]
+               for r in rows)
+    summary = (root / "reports/generation_gt_text.csv").read_text().splitlines()[1]
+    assert summary == "gt_text,0.0000,0.0000,10,0"
 
 
 def test_gradcheck_passes(workspace, capsys):
@@ -559,6 +577,20 @@ def test_config_judge_is_checked_at_load(workspace, capsys, edit):
     path.write_text(json.dumps(bad), encoding="utf-8")
     assert run("synth", "--config", str(path)) == 2
     assert "judge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mix", [[1.5, -0.5, 0.0], [0.5, 0.5, 0.5]], ids=["negative", "sum"])
+def test_config_corruption_mix_is_checked_at_load(workspace, capsys, mix):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    bad["corruption_mix"] = mix
+    path = root / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    capsys.readouterr()
+    assert run("corrupt", "--config", str(path)) == 2
+    assert "corruption_mix" in capsys.readouterr().err
+    assert not (root / "reports/corruption.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from speechrag import files
 from speechrag.checkpoint import load_checkpoint, save_checkpoint
 from speechrag.dsp import FeatureConfig
-from speechrag.encoder import SpeechEncoderParams, Vocab
+from speechrag.encoder import Vocab, backbone_checksum
 from speechrag.index import build, load, load_embeddings, save, save_embeddings
 from speechrag.training import Checkpoint, TrainConfig, build_model, trainable_tensors
 
@@ -114,7 +115,8 @@ def test_checkpoint_layout(tmp_path):
     save_checkpoint(checkpoint, tmp_path / "m.ckpt")
     meta = {
         "vocab": ["ka", "mo", "<unk>"],
-        "backbone": {"seed": 5, "hidden_dim": 2, "n_layers": 1},
+        "backbone": {"seed": 5, "hidden_dim": 2, "n_layers": 1,
+                     "checksum": backbone_checksum(checkpoint.model.backbone)},
         "encoder_layers": 1,
         "downsample_factor": 2,
         "feature": {"frame_len": 0.025, "hop": 0.02, "n_mels": 3, "fft_size": 512,
@@ -148,18 +150,24 @@ def test_f32_blocks_load_as_read_only_views(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_save_failing_mid_encode_leaves_previous_file(tmp_path):
+def test_save_failing_mid_encode_leaves_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     checkpoint = small_checkpoint()
     save_checkpoint(checkpoint, path)
     before = path.read_bytes()
-    # encoder/0/w is the last tensor written, so the failure comes after the
-    # metadata and three tensors have gone to the temp file.
-    bias = checkpoint.model.speech.layers[0][1]
-    speech = SpeechEncoderParams(layers=((np.array([["x"]], dtype=object), bias),))
-    bad = replace(checkpoint, model=replace(checkpoint.model, speech=speech), epoch=9)
-    with pytest.raises(ValueError, match="could not convert"):
-        save_checkpoint(bad, path)
+    # encoder/0/w is the last of the four tensors written, so the failure
+    # comes after the metadata and three tensors have gone to the temp file.
+    encode, calls = files.f32, []
+
+    def f32_failing_last(arr):
+        calls.append(arr)
+        if len(calls) == 4:
+            raise OSError("no space left on device")
+        return encode(arr)
+
+    monkeypatch.setattr(files, "f32", f32_failing_last)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(replace(checkpoint, epoch=9), path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 

@@ -159,6 +159,9 @@ def test_corruption_config_validation():
         CorruptionConfig(target_wer=1.0, vocabulary=VOCAB)
     with pytest.raises(ValueError, match="sum to 1"):
         CorruptionConfig(target_wer=0.1, vocabulary=VOCAB, sub_weight=0.9)
+    with pytest.raises(ValueError, match="non-negative"):
+        CorruptionConfig(target_wer=0.1, vocabulary=VOCAB, sub_weight=1.5, del_weight=-0.5,
+                         ins_weight=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +330,9 @@ def test_generator_failure_recorded_run_continues(pipe_corpus, pipe_model):
     assert len(traces) == len(pipe_corpus.queries)
     assert all(t["error"] and "synthetic outage" in t["error"] for t in traces)
     assert all(t["answer"] == "" for t in traces)
-    report = eval_generation(traces)
-    assert report.generator_errors == len(traces)
+    report = eval_generation(traces, judge=lambda *args: pytest.fail("judged a failed answer"))
+    assert report.generator_errors == len(traces) and report.judge_errors == 0
+    assert all(row["exact_match"] is None and row["correct"] is None for row in report.rows)
 
 
 def test_run_pipeline_concurrent_matches_sequential(pipe_corpus, pipe_model):

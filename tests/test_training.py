@@ -17,16 +17,17 @@ from speechrag.training import (
     TrainConfig,
     adam_step,
     build_model,
-    cosine_loss,
+    evaluate_loss,
     grad_check,
     loss_and_grads,
     params_from_tensors,
     train,
     trainable_tensors,
+    _cosine_loss_grad,
     _forward_item,
 )
 
-from oracles import mean_cosine
+from oracles import cosine_loss, mean_cosine
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,27 @@ def test_cosine_loss_zero_norm_guarded():
     # The 1e-12 norm guard keeps silence-only embeddings NaN-free.
     loss = cosine_loss(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]))
     assert math.isfinite(loss)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cosine_loss_grad_loss_is_bit_equal_to_oracle(dtype):
+    # evaluate_loss takes the loss from _cosine_loss_grad on float64 copies.
+    rng = np.random.default_rng(0)
+    for n in range(2000):
+        e_s, e_t = (rng.normal(size=(2, 8)) * rng.choice([1e-8, 1.0, 1e4], (2, 1))).astype(dtype)
+        if n % 10 == 0:
+            e_s[:] = 0.0
+        if n % 15 == 0:
+            e_t[:] = 0.0
+        got = _cosine_loss_grad(e_s.astype(np.float64), e_t.astype(np.float64))[0]
+        assert got == cosine_loss(e_s, e_t)
+
+
+def test_evaluate_loss_is_the_mean_oracle_loss(small_corpus, small_model):
+    items = make_items(small_corpus, small_model, count=3)
+    parts = (small_model.speech, small_model.adapter, small_model.backbone)
+    expected = sum(cosine_loss(_forward_item(f, *parts)[0], t) for f, t in items) / len(items)
+    assert evaluate_loss(items, *parts) == expected
 
 
 # ---------------------------------------------------------------------------
