@@ -220,7 +220,8 @@ def cmd_train(config: RunConfig, args) -> int:
     result = train(train_corpus, val_corpus, config.train, model=model, log_path=log_path)
     save_checkpoint(result.checkpoint, config.path(config.checkpoint_path))
     last = result.history[-1]
-    print(f"trained {last['epoch']} epochs; best epoch {result.checkpoint.epoch} "
+    print(f"trained {last['epoch']} epochs, stopped by {last['stop_reason']}; "
+          f"best epoch {result.checkpoint.epoch} "
           f"(val loss {result.checkpoint.best_val_loss:.6f}); "
           f"checkpoint at {config.path(config.checkpoint_path)}")
     return 0
@@ -347,14 +348,16 @@ def cmd_eval_generation(config: RunConfig, args) -> int:
     report = eval_generation(traces, judge=judge)
     _write_jsonl(config.path(config.report_dir) / f"traces_{mode.value}.jsonl", traces)
     out = config.path(config.report_dir) / f"generation_{mode.value}.csv"
+    em, correctness = (
+        "" if mean is None else f"{mean:.4f}" for mean in (report.em_mean, report.correctness_mean)
+    )
     _write_csv(
         out,
         ["mode", "exact_match", "llm_correctness", "generator_errors", "judge_errors"],
-        [[mode.value, f"{report.em_mean:.4f}", f"{report.correctness_mean:.4f}",
-          report.generator_errors, report.judge_errors]],
+        [[mode.value, em, correctness, report.generator_errors, report.judge_errors]],
     )
     _write_jsonl(config.path(config.report_dir) / f"generation_{mode.value}_rows.jsonl", report.rows)
-    print(f"{mode.value}: EM {report.em_mean:.4f} correctness {report.correctness_mean:.4f} -> {out}")
+    print(f"{mode.value}: EM {em or 'n/a'} correctness {correctness or 'n/a'} -> {out}")
     return 0
 
 

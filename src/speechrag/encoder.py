@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -163,10 +164,32 @@ def backbone_checksum(params: BackboneParams) -> str:
     return digest.hexdigest()
 
 
+def segments(x: np.ndarray, lengths: Sequence[int]) -> Iterator[np.ndarray]:
+    """Views of the consecutive row blocks of `x` with the given row counts."""
+    start = 0
+    for n in lengths:
+        yield x[start : start + n]
+        start += n
+
+
+def mix_tokens(x: np.ndarray, lengths: Sequence[int]) -> None:
+    """Token mixing, in place, of the sequences stacked row-wise in `x` with
+    the given row counts: each row gains its difference from its own
+    sequence's mean row. The map is self-adjoint, so the training backward
+    pass applies it to gradients too. The mean is taken as a sum divided by
+    the Python int count: the same bits as `ndarray.mean` in the array's
+    dtype, at less per-call cost."""
+    for seq in segments(x, lengths):
+        seq += seq - seq.sum(axis=0, keepdims=True) / len(seq)
+
+
 def backbone_layers(
-    x: np.ndarray, params: BackboneParams
+    x: np.ndarray, params: BackboneParams, lengths: Sequence[int]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The frozen mixer's layer loop on a T x H array, unchecked.
+    """The frozen mixer's layer loop, unchecked, on sequences stacked
+    row-wise in `x` with the given row counts; a single sequence passes
+    `(len(x),)`. Every step but the token mixing is rowwise, so a stacked
+    sequence's rows come out as they would alone.
 
     Returns the residual stream before and after each layer (its last entry
     is the output) and each layer's tanh activations: everything the
@@ -178,7 +201,7 @@ def backbone_layers(
         h = np.tanh(x @ layer.w_in + layer.b_in)
         hidden.append(h)
         x = x + h @ layer.w_out + layer.b_out
-        x = x + (x - x.mean(axis=0, keepdims=True))
+        mix_tokens(x, lengths)
         states.append(x)
     return states, hidden
 
@@ -194,11 +217,12 @@ def backbone_forward(seq: np.ndarray, params: BackboneParams) -> np.ndarray:
     (it sharpens rows against their context without destroying the pooled
     content).
     """
-    return backbone_layers(seq, params)[0][-1]
+    return backbone_layers(seq, params, (len(seq),))[0][-1]
 
 
 def pool(seq: np.ndarray) -> np.ndarray:
-    return seq.mean(axis=0)
+    """The mean row, taken as `mix_tokens` takes it."""
+    return seq.sum(axis=0) / len(seq)
 
 
 def embed_text(text: str, vocab: Vocab, backbone: BackboneParams) -> np.ndarray:
@@ -219,9 +243,11 @@ def encoder_layers(x: np.ndarray, params: SpeechEncoderParams) -> list[np.ndarra
     states = [x]
     last = len(params.layers) - 1
     for k, (w, b) in enumerate(params.layers):
-        x = x @ w + b
+        # In place: one new array per layer, the same bits as x @ w + b.
+        x = x @ w
+        x += b
         if k < last:
-            x = np.tanh(x)
+            np.tanh(x, out=x)
         states.append(x)
     return states
 

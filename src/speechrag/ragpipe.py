@@ -493,8 +493,8 @@ def retrieval_run(
 
 @dataclass
 class GenerationReport:
-    em_mean: float
-    correctness_mean: float
+    em_mean: float | None  # None when no row was scored
+    correctness_mean: float | None  # None when no row was judged
     rows: list[dict]
     generator_errors: int
     judge_errors: int
@@ -504,7 +504,8 @@ def eval_generation(traces: list[dict], judge=None) -> GenerationReport:
     """Score run_pipeline's trace rows with Exact Match and judge
     correctness, one row per trace. A trace whose generator raised has no
     answer to score: its row's scores are None and the judge is not called.
-    Generator and judge failures are excluded from the means and counted."""
+    Generator and judge failures are excluded from the means and counted;
+    a mean over no rows is None."""
     judge = judge or MockJudge()
     rows: list[dict] = []
     for trace in traces:
@@ -531,8 +532,8 @@ def eval_generation(traces: list[dict], judge=None) -> GenerationReport:
     scored = [row["exact_match"] for row in rows if row["exact_match"] is not None]
     judged = [row["correct"] for row in rows if row["correct"] is not None]
     return GenerationReport(
-        em_mean=sum(scored) / len(scored) if scored else 0.0,
-        correctness_mean=sum(judged) / len(judged) if judged else 0.0,
+        em_mean=sum(scored) / len(scored) if scored else None,
+        correctness_mean=sum(judged) / len(judged) if judged else None,
         rows=rows,
         generator_errors=sum(row["generator_error"] is not None for row in rows),
         judge_errors=sum(row["judge_error"] is not None for row in rows),

@@ -34,6 +34,9 @@ from .encoder import (
     encoder_layers,
     make_backbone,
     make_speech_encoder,
+    mix_tokens,
+    pool,
+    segments,
 )
 
 NORM_GUARD = 1e-12
@@ -155,62 +158,82 @@ def _cosine_loss_grad(e_s: np.ndarray, e_t: np.ndarray) -> tuple[float, np.ndarr
     return 1.0 - cos, grad
 
 
-def _forward_item(features: np.ndarray, speech, adapter, backbone) -> tuple[np.ndarray, dict]:
-    """The speech branch's forward pass, keeping every intermediate the
-    backward pass needs. It runs the encoder and backbone layer loops that
-    inference runs, then checks the recorded activations in order and names
-    the first stage that holds a non-finite value."""
-    enc = encoder_layers(features, speech)
-    for k, x in enumerate(enc[1:]):
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite activations after encoder layer {k}")
-    down = downsample(enc[-1], adapter.downsample_factor)
+def _first_non_finite(arrays: list[np.ndarray]) -> int | None:
+    """The index of the first array that holds a non-finite value, if any."""
+    return next((i for i, x in enumerate(arrays) if not np.all(np.isfinite(x))), None)
+
+
+def _forward(
+    features: list[np.ndarray], speech, adapter, backbone
+) -> tuple[list[np.ndarray], dict]:
+    """The speech branch's forward pass over a batch's items, their feature
+    rows stacked. It runs inference's encoder and backbone layer loops and
+    its per-item `downsample`, so each item's embedding is the one inference
+    computes. It checks the activations stage by stage and names the first
+    stage that holds a non-finite value. Returns each item's pooled
+    embedding and every intermediate the backward pass reads."""
+    enc = encoder_layers(np.concatenate(features), speech)
+    if (k := _first_non_finite(enc[1:])) is not None:
+        raise FloatingPointError(f"non-finite activations after encoder layer {k}")
+    # The backward pass reads each encoder layer's input but not the encoder
+    # output, so that is dropped once it is downsampled.
+    factor = adapter.downsample_factor
+    n_frames = [len(f) for f in features]
+    parts = [downsample(seq, factor) for seq in segments(enc.pop(), n_frames)]
+    down = np.concatenate(parts)
     proj = down @ adapter.w_proj + adapter.b_proj
     if not np.all(np.isfinite(proj)):
         raise FloatingPointError("non-finite activations after adapter projection")
-    states, hidden = backbone_layers(proj, backbone)
-    for i, y in enumerate(states[1:]):
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"non-finite activations after backbone layer {i}")
-    return states[-1].mean(axis=0), {"enc": enc, "down": down, "bb_tanh": hidden}
+    lengths = [len(part) for part in parts]
+    states, hidden = backbone_layers(proj, backbone, lengths)
+    if (i := _first_non_finite(states[1:])) is not None:
+        raise FloatingPointError(f"non-finite activations after backbone layer {i}")
+    embeddings = [pool(seq) for seq in segments(states[-1], lengths)]
+    # Encoder rows per downsampled row: `factor`, except in an item's last
+    # window, which holds what is left of the item.
+    windows = []
+    for n in n_frames:
+        full, tail = divmod(n, factor)
+        windows += [factor] * full + [tail] * (tail > 0)
+    cache = {"enc": enc, "down": down, "bb_tanh": hidden, "lengths": lengths,
+             "windows": np.array(windows)}
+    return embeddings, cache
 
 
-def _backward_item(
-    grad_e: np.ndarray, cache: dict, speech, adapter, backbone
+def _backward(
+    grad_rows: np.ndarray, cache: dict, speech, adapter, backbone
 ) -> dict[str, np.ndarray]:
-    down = cache["down"]
-    n_rows = down.shape[0]
-    g = np.broadcast_to(grad_e / n_rows, (n_rows, grad_e.size)).copy()
+    """Gradients of the trainable tensors given each item's gradient at its
+    downsampled rows (`grad_rows`, one row per item). Every weight and bias
+    gradient is one product or sum over all stacked rows."""
+    g = np.repeat(grad_rows, cache["lengths"], axis=0)
     for i in reversed(range(len(backbone.layers))):
         layer = backbone.layers[i]
-        # The mixing map is self-adjoint, so its backward pass reuses it.
-        g = g + (g - g.mean(axis=0, keepdims=True))
+        mix_tokens(g, cache["lengths"])
         t = cache["bb_tanh"][i]
         g_t = g @ layer.w_out.T
         g_u = g_t * (1.0 - t * t)
         g = g + g_u @ layer.w_in.T
 
+    down = cache["down"]
     grads: dict[str, np.ndarray] = {
         "adapter/w_proj": down.T @ g,
         "adapter/b_proj": g.sum(axis=0),
     }
     g = g @ adapter.w_proj.T
+    windows = cache["windows"]
+    g = np.repeat(g / windows[:, None].astype(g.dtype), windows, axis=0)
 
     enc = cache["enc"]
-    factor = adapter.downsample_factor
-    enc_rows = enc[-1].shape[0]
-    starts = np.arange(0, enc_rows, factor)
-    counts = np.minimum(starts + factor, enc_rows) - starts
-    g = np.repeat(g / counts[:, None].astype(g.dtype), counts, axis=0)
-
     n_layers = len(speech.layers)
     for k in reversed(range(n_layers)):
         w, _ = speech.layers[k]
-        act = enc[k + 1]
-        g_z = g * (1.0 - act * act) if k < n_layers - 1 else g
-        grads[f"encoder/{k}/w"] = enc[k].T @ g_z
-        grads[f"encoder/{k}/b"] = g_z.sum(axis=0)
-        g = g_z @ w.T
+        if k < n_layers - 1:
+            g = g * (1.0 - enc[k + 1] * enc[k + 1])
+        grads[f"encoder/{k}/w"] = enc[k].T @ g
+        grads[f"encoder/{k}/b"] = g.sum(axis=0)
+        if k > 0:  # nothing reads the gradient of the features
+            g = g @ w.T
     return grads
 
 
@@ -220,24 +243,21 @@ def loss_and_grads(
     adapter: AdapterParams,
     backbone: BackboneParams,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cosine loss and its exact gradients over (features, target) items."""
+    """Mean cosine loss and its exact gradients over (features, target)
+    items, taken in one stacked forward and backward pass."""
     if not items:
         raise ValueError("empty batch")
+    embeddings, cache = _forward([f for f, _ in items], speech, adapter, backbone)
     total_loss = 0.0
-    acc: dict[str, np.ndarray] | None = None
-    for features, target in items:
-        e_s, cache = _forward_item(features, speech, adapter, backbone)
+    grad_rows = []
+    # Each item weighs 1/len(items) in the mean, and mean pooling spreads its
+    # embedding's gradient evenly over its n downsampled rows.
+    for e_s, (_, target), n in zip(embeddings, items, cache["lengths"]):
         loss, grad_e = _cosine_loss_grad(e_s, target)
         total_loss += loss
-        grads = _backward_item(grad_e, cache, speech, adapter, backbone)
-        if acc is None:
-            acc = grads
-        else:
-            for name, g in grads.items():
-                acc[name] += g
-    assert acc is not None
-    scale = 1.0 / len(items)
-    return total_loss * scale, {name: g * scale for name, g in acc.items()}
+        grad_rows.append(grad_e / (n * len(items)))
+    grads = _backward(np.stack(grad_rows), cache, speech, adapter, backbone)
+    return total_loss / len(items), grads
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +347,9 @@ def train(
     micro-batches per optimizer step (a trailing shorter accumulation window
     at the epoch end is averaged over its actual length), epoch-level
     validation, early stopping on val loss with the configured patience,
-    best checkpoint retained. The model's arrays are never mutated.
+    best checkpoint retained. The model's arrays are never mutated. The last
+    history row (and log line) says why training stopped: `stop_reason` is
+    "patience" or "max_epochs".
     """
     if not train_corpus.passages or not val_corpus.passages:
         raise ValueError("train and val corpora must be non-empty")
@@ -390,12 +412,14 @@ def train(
                 "val_loss": val_loss,
                 "elapsed_s": time.monotonic() - started,
             }
-            history.append(row)
-            if log_fh:
-                log_fh.write(json.dumps(row) + "\n")
             should_stop = stopper.update(epoch, val_loss)
             if stopper.best_epoch == epoch:
                 best_tensors = {k: v.copy() for k, v in tensors.items()}
+            if should_stop or epoch == config.max_epochs:
+                row["stop_reason"] = "patience" if should_stop else "max_epochs"
+            history.append(row)
+            if log_fh:
+                log_fh.write(json.dumps(row) + "\n")
             if should_stop:
                 break
     finally:
@@ -415,9 +439,9 @@ def train(
 
 def evaluate_loss(items, speech, adapter, backbone) -> float:
     """Mean cosine loss over (features, target) items, taken in float64."""
+    embeddings, _ = _forward([f for f, _ in items], speech, adapter, backbone)
     total = 0.0
-    for features, target in items:
-        e_s, _ = _forward_item(features, speech, adapter, backbone)
+    for e_s, (_, target) in zip(embeddings, items):
         total += _cosine_loss_grad(e_s.astype(np.float64), target.astype(np.float64))[0]
     return total / len(items)
 

@@ -18,10 +18,11 @@ from speechrag.corpus import (
     _make_vocabulary,
     _word_waveform,
 )
+from speechrag.adapter import downsample
 from speechrag.dsp import PCM_SCALE, AudioSignal, hz_to_mel, mel_to_hz
-from speechrag.encoder import RetrieverModel
+from speechrag.encoder import RetrieverModel, backbone_layers, encoder_layers
 from speechrag.index import SearchResult
-from speechrag.training import NORM_GUARD
+from speechrag.training import NORM_GUARD, _cosine_loss_grad
 
 
 def recall_at_k(results: dict[str, SearchResult], qrels: dict[str, str], k: int) -> float:
@@ -130,3 +131,68 @@ def mean_cosine(corpus: Corpus, model: RetrieverModel) -> float:
         e_t = model.embed_text(p.transcript)
         total += 1.0 - cosine_loss(e_s, e_t)
     return total / len(corpus.passages)
+
+
+def forward_item(features: np.ndarray, speech, adapter, backbone) -> tuple[np.ndarray, dict]:
+    """One item's speech forward pass, unchecked, keeping every intermediate
+    `backward_item` reads; the per-item reference of `training._forward`."""
+    enc = encoder_layers(features, speech)
+    down = downsample(enc[-1], adapter.downsample_factor)
+    proj = down @ adapter.w_proj + adapter.b_proj
+    states, hidden = backbone_layers(proj, backbone, (len(proj),))
+    return states[-1].mean(axis=0), {"enc": enc, "down": down, "bb_tanh": hidden}
+
+
+def backward_item(
+    grad_e: np.ndarray, cache: dict, speech, adapter, backbone
+) -> dict[str, np.ndarray]:
+    """One item's trainable-tensor gradients given dL/de_s; the per-item
+    reference of `training._backward`."""
+    down = cache["down"]
+    n_rows = down.shape[0]
+    g = np.broadcast_to(grad_e / n_rows, (n_rows, grad_e.size)).copy()
+    for i in reversed(range(len(backbone.layers))):
+        layer = backbone.layers[i]
+        g = g + (g - g.mean(axis=0, keepdims=True))
+        t = cache["bb_tanh"][i]
+        g_t = g @ layer.w_out.T
+        g_u = g_t * (1.0 - t * t)
+        g = g + g_u @ layer.w_in.T
+
+    grads: dict[str, np.ndarray] = {
+        "adapter/w_proj": down.T @ g,
+        "adapter/b_proj": g.sum(axis=0),
+    }
+    g = g @ adapter.w_proj.T
+
+    enc = cache["enc"]
+    factor = adapter.downsample_factor
+    enc_rows = enc[-1].shape[0]
+    starts = np.arange(0, enc_rows, factor)
+    counts = np.minimum(starts + factor, enc_rows) - starts
+    g = np.repeat(g / counts[:, None].astype(g.dtype), counts, axis=0)
+
+    n_layers = len(speech.layers)
+    for k in reversed(range(n_layers)):
+        w, _ = speech.layers[k]
+        act = enc[k + 1]
+        g_z = g * (1.0 - act * act) if k < n_layers - 1 else g
+        grads[f"encoder/{k}/w"] = enc[k].T @ g_z
+        grads[f"encoder/{k}/b"] = g_z.sum(axis=0)
+        g = g_z @ w.T
+    return grads
+
+
+def item_loss_and_grads(items, speech, adapter, backbone) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cosine loss and its gradients, one item at a time; the reference
+    of `training.loss_and_grads`."""
+    total_loss = 0.0
+    acc: dict[str, np.ndarray] = {}
+    for features, target in items:
+        e_s, cache = forward_item(features, speech, adapter, backbone)
+        loss, grad_e = _cosine_loss_grad(e_s, target)
+        total_loss += loss
+        for name, g in backward_item(grad_e, cache, speech, adapter, backbone).items():
+            acc[name] = acc[name] + g if name in acc else g
+    scale = 1.0 / len(items)
+    return total_loss * scale, {name: g * scale for name, g in acc.items()}

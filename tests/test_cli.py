@@ -57,12 +57,15 @@ def test_synth_split_train_flow(workspace, capsys):
     for name in ("train.jsonl", "val.jsonl", "test.jsonl"):
         assert (root / "corpus" / name).exists()
 
+    capsys.readouterr()
     assert run("train", "--config", config) == 0
+    assert "trained 2 epochs, stopped by max_epochs;" in capsys.readouterr().out
     assert (root / "artifacts/model.ckpt").exists()
     log_lines = (root / "artifacts/train_log.jsonl").read_text().splitlines()
     assert len(log_lines) == 2
     row = json.loads(log_lines[0])
     assert set(row) == {"epoch", "train_loss", "val_loss", "elapsed_s"}
+    assert json.loads(log_lines[1])["stop_reason"] == "max_epochs"
 
 
 def test_zero_byte_wav_in_manifest_is_exit_two(workspace, capsys):
@@ -213,9 +216,10 @@ def test_eval_generation_outputs(workspace):
     assert summary.split(",")[-2:] == ["10", "0"]
 
 
-def test_generator_failure_is_neither_judged_nor_scored(workspace, monkeypatch):
+def test_generator_failure_is_neither_judged_nor_scored(workspace, monkeypatch, capsys):
     root, config = workspace
     assert run("synth", "--config", config) == 0
+    capsys.readouterr()
     judged = []
     monkeypatch.setattr(MockJudge, "__call__", lambda self, *args: judged.append(args) or 1)
     assert run("eval-generation", "--config", config, "--mode", "gt_text",
@@ -226,8 +230,10 @@ def test_generator_failure_is_neither_judged_nor_scored(workspace, monkeypatch):
     assert len(rows) == 10
     assert all(r["exact_match"] is None and r["correct"] is None and r["generator_error"]
                for r in rows)
+    # With no row scored, both means are empty cells, not 0.
     summary = (root / "reports/generation_gt_text.csv").read_text().splitlines()[1]
-    assert summary == "gt_text,0.0000,0.0000,10,0"
+    assert summary == "gt_text,,,10,0"
+    assert "gt_text: EM n/a correctness n/a" in capsys.readouterr().out
 
 
 def test_gradcheck_passes(workspace, capsys):

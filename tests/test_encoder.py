@@ -14,10 +14,12 @@ from speechrag.encoder import (
     Vocab,
     backbone_checksum,
     backbone_forward,
+    backbone_layers,
     embed_speech,
     embed_text,
     make_backbone,
     make_speech_encoder,
+    mix_tokens,
     pool,
     speech_encode,
     tokenize,
@@ -99,6 +101,33 @@ def test_backbone_forward_deterministic():
     a = backbone_forward(x, backbone)
     b = backbone_forward(x.copy(), backbone)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_sequences_pass_the_backbone_as_alone(dtype):
+    # Only the token mixing spans rows, and it stays within each sequence.
+    backbone = make_backbone(vocab_size=5, hidden_dim=8, n_layers=2, seed=3, dtype=dtype)
+    rng = np.random.default_rng(4)
+    lengths = [5, 2, 9, 3]
+    seqs = [rng.normal(size=(n, 8)).astype(dtype) for n in lengths]
+    states, _ = backbone_layers(np.concatenate(seqs), backbone, lengths)
+    assert states[-1].dtype == dtype
+    alone = np.concatenate([backbone_forward(x, backbone) for x in seqs])
+    assert np.allclose(states[-1], alone, rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_and_mixing_match_ndarray_mean_bit_for_bit(dtype):
+    # pool and mix_tokens divide a sum by the row count, which costs less per
+    # call than ndarray.mean; the bits must be the same.
+    rng = np.random.default_rng(5)
+    for n in range(1, 70):
+        x = (rng.normal(size=(n, 16)) * rng.choice([1e-4, 1.0, 1e4])).astype(dtype)
+        assert np.array_equal(pool(x), x.mean(axis=0))
+        mixed = x.copy()
+        mix_tokens(mixed, [n])
+        assert mixed.dtype == dtype
+        assert np.array_equal(mixed, x + (x - x.mean(axis=0, keepdims=True)))
 
 
 def test_backbone_regenerable_bit_exactly():

@@ -333,6 +333,8 @@ def test_generator_failure_recorded_run_continues(pipe_corpus, pipe_model):
     report = eval_generation(traces, judge=lambda *args: pytest.fail("judged a failed answer"))
     assert report.generator_errors == len(traces) and report.judge_errors == 0
     assert all(row["exact_match"] is None and row["correct"] is None for row in report.rows)
+    # No row is scored or judged, so neither mean has a value.
+    assert report.em_mean is None and report.correctness_mean is None
 
 
 def test_run_pipeline_concurrent_matches_sequential(pipe_corpus, pipe_model):
@@ -370,6 +372,13 @@ def test_eval_generation_judge_errors_excluded():
     report = eval_generation(traces, judge=judge)
     assert report.judge_errors == 1
     assert report.correctness_mean == 1.0  # two judged, both correct
+
+    def offline(query, answer, gold):
+        raise RuntimeError("judge offline")
+
+    report = eval_generation(traces, judge=offline)
+    assert report.judge_errors == 3
+    assert report.em_mean == 1.0 and report.correctness_mean is None
 
 
 def test_retrieval_run_reports_passage_wer(pipe_corpus, pipe_model):

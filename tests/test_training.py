@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechrag.corpus import SynthParams, corpus_words, split, synth_corpus
-from speechrag.dsp import logmel
+from speechrag.dsp import AudioSignal, logmel
+from speechrag import training
 from speechrag.encoder import Vocab, backbone_checksum, embed_text
 from speechrag.training import (
     AdamState,
@@ -24,10 +26,10 @@ from speechrag.training import (
     train,
     trainable_tensors,
     _cosine_loss_grad,
-    _forward_item,
+    _forward,
 )
 
-from oracles import cosine_loss, mean_cosine
+from oracles import cosine_loss, forward_item, item_loss_and_grads, mean_cosine
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +49,29 @@ def make_items(corpus, model, count=2):
         feats = logmel(corpus.load_audio(p), model.feature_config)
         target = embed_text(p.transcript, model.vocab, model.backbone)
         items.append((feats.astype(np.float64), np.asarray(target, dtype=np.float64)))
+    return items
+
+
+# Frame counts of unequal items for the stacked pass. With the default
+# downsample factor of 4 they give 6, 3, 4 and 2 downsampled rows, whose last
+# windows hold 1, 2, 3 and 4 frames.
+UNEQUAL_FRAMES = (21, 10, 15, 8)
+
+
+def truncated(signal: AudioSignal, cfg, frames: int) -> AudioSignal:
+    """The start of `signal` that gives exactly `frames` log-mel frames."""
+    sr = signal.sample_rate
+    n = cfg.frame_samples(sr) + (frames - 1) * cfg.hop_samples(sr)
+    return AudioSignal(signal.samples[:n], sr)
+
+
+def unequal_items(corpus, model):
+    items = []
+    for p, frames in zip(corpus.passages, UNEQUAL_FRAMES):
+        signal = truncated(corpus.load_audio(p), model.feature_config, frames)
+        items.append((logmel(signal, model.feature_config).astype(model.dtype),
+                      model.embed_text(p.transcript)))
+    assert [len(f) for f, _ in items] == list(UNEQUAL_FRAMES)
     return items
 
 
@@ -101,7 +126,7 @@ def test_cosine_loss_grad_loss_is_bit_equal_to_oracle(dtype):
 def test_evaluate_loss_is_the_mean_oracle_loss(small_corpus, small_model):
     items = make_items(small_corpus, small_model, count=3)
     parts = (small_model.speech, small_model.adapter, small_model.backbone)
-    expected = sum(cosine_loss(_forward_item(f, *parts)[0], t) for f, t in items) / len(items)
+    expected = sum(cosine_loss(forward_item(f, *parts)[0], t) for f, t in items) / len(items)
     assert evaluate_loss(items, *parts) == expected
 
 
@@ -113,7 +138,7 @@ def test_evaluate_loss_is_the_mean_oracle_loss(small_corpus, small_model):
 def test_zero_loss_batch_has_zero_gradients(small_corpus, small_model):
     feats = logmel(small_corpus.load_audio(small_corpus.passages[0]),
                    small_model.feature_config)
-    e_s, _ = _forward_item(feats, small_model.speech, small_model.adapter, small_model.backbone)
+    e_s, _ = forward_item(feats, small_model.speech, small_model.adapter, small_model.backbone)
     # Target proportional to the model's own output: zero loss up to the
     # 1e-12 norm guard inside the cosine.
     loss, grads = loss_and_grads(
@@ -204,35 +229,78 @@ def _poisoned(model, stage):
 
 
 def test_non_finite_activation_reports_layer(small_corpus, small_model):
-    bad = np.full((10, 40), np.inf)
+    items = make_items(small_corpus, small_model, count=3)
+    parts = (small_model.speech, small_model.adapter, small_model.backbone)
+    # The stacked pass names the stage, also when one item in the middle of
+    # the batch is the only one with non-finite values.
+    poisoned = [items[0], (np.full((10, 40), np.inf), items[1][1]), items[2]]
     with np.errstate(invalid="ignore"):
         with pytest.raises(FloatingPointError, match="encoder layer 0"):
-            _forward_item(bad, small_model.speech, small_model.adapter, small_model.backbone)
+            loss_and_grads(poisoned, *parts)
     # Finite features whose first non-finite value appears later: the error
     # names that stage, not one the non-finite values reach after it.
-    feats = logmel(small_corpus.load_audio(small_corpus.passages[0]),
-                   small_model.feature_config)
     assert len(small_model.backbone.layers) == 2
     for stage in ("adapter projection", "backbone layer 0", "backbone layer 1"):
         model = _poisoned(small_model, stage)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=f"after {stage}$"):
-                _forward_item(feats, model.speech, model.adapter, model.backbone)
+                loss_and_grads(items, model.speech, model.adapter, model.backbone)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_training_forward_equals_inference_embedding(small_corpus, dtype):
     # Training and retrieval run one speech forward pass, so the embedding the
-    # loss sees is the embedding the index holds, bit for bit.
+    # loss sees is the embedding the index holds, bit for bit, also for items
+    # of unequal length stacked in one batch. Every item here has at least
+    # two rows at every stage. An item with a single row at some stage is left
+    # out on purpose: alone it is a one-row matrix product, for which BLAS may
+    # take another path than for the stacked rows, and its low bits may differ.
     vocab = Vocab.from_words(corpus_words(small_corpus))
     model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=4, dtype=dtype, proj_std=0.1)
-    for p in small_corpus.passages[:3]:
-        signal = small_corpus.load_audio(p)
-        feats = logmel(signal, model.feature_config).astype(dtype)
-        e_s, _ = _forward_item(feats, model.speech, model.adapter, model.backbone)
+    cfg = model.feature_config
+    signals = [small_corpus.load_audio(p) for p in small_corpus.passages[:3]]
+    signals += [truncated(s, cfg, n) for s, n in zip(signals, UNEQUAL_FRAMES)]
+    feats = [logmel(s, cfg).astype(dtype) for s in signals]
+    embeddings, _ = _forward(feats, model.speech, model.adapter, model.backbone)
+    assert len(embeddings) == len(signals)
+    for e_s, signal in zip(embeddings, signals):
         expected = model.embed_speech(signal)
         assert e_s.dtype == expected.dtype == dtype
         assert np.array_equal(e_s, expected)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("batch", [slice(0, 4), slice(1, 3), slice(2, 3)],
+                         ids=["four-items", "two-items", "one-item"])
+def test_stacked_pass_matches_per_item_oracle(small_corpus, dtype, tol, batch):
+    # The stacked pass sums gradients over all rows at once, so only the
+    # float summation order differs from the per-item reference.
+    vocab = Vocab.from_words(corpus_words(small_corpus))
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=4, dtype=dtype, proj_std=0.1)
+    items = unequal_items(small_corpus, model)[batch]
+    parts = (model.speech, model.adapter, model.backbone)
+    loss, grads = loss_and_grads(items, *parts)
+    ref_loss, ref_grads = item_loss_and_grads(items, *parts)
+    assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert grads[name].dtype == dtype, name
+        assert np.max(np.abs(grads[name] - ref)) <= tol * np.max(np.abs(ref)), name
+
+
+def test_stacked_pass_keeps_the_model_dtype(small_corpus):
+    # Segment bounds are ints: dividing float32 by a NumPy int64 would
+    # promote to float64, which every later stage would then carry.
+    vocab = Vocab.from_words(corpus_words(small_corpus))
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=4, proj_std=0.1)
+    assert model.dtype == np.float32
+    items = unequal_items(small_corpus, model)
+    parts = (model.speech, model.adapter, model.backbone)
+    embeddings, cache = _forward([f for f, _ in items], *parts)
+    arrays = [*embeddings, *cache["enc"], cache["down"], *cache["bb_tanh"]]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    _, grads = loss_and_grads(items, *parts)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +401,21 @@ def test_train_deterministic_checkpoints(small_corpus):
         assert np.array_equal(a[name], b[name]), name
     assert first.checkpoint.best_val_loss == second.checkpoint.best_val_loss
     assert [r["val_loss"] for r in first.history] == [r["val_loss"] for r in second.history]
+
+
+def test_train_says_why_it_stopped(small_corpus, monkeypatch, tmp_path):
+    tr, va, _ = split(small_corpus, 0.5, 0.25, seed=1)
+    vocab = Vocab.from_words(corpus_words(small_corpus))
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5)
+    result = train(tr, va, TrainConfig(max_epochs=2, patience=5), model)
+    assert [row.get("stop_reason") for row in result.history] == [None, "max_epochs"]
+    # A val loss that never improves after epoch 1 runs out a patience of 2
+    # at epoch 3, before max_epochs.
+    monkeypatch.setattr(training, "evaluate_loss", lambda *args: 0.5)
+    log = tmp_path / "train_log.jsonl"
+    result = train(tr, va, TrainConfig(max_epochs=10, patience=2), model, log_path=log)
+    assert [row.get("stop_reason") for row in result.history] == [None, None, "patience"]
+    assert [json.loads(line) for line in log.read_text().splitlines()] == result.history
 
 
 def test_backbone_frozen_through_training(small_corpus):
