@@ -22,13 +22,14 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, files
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, resolved_hash
 from .corpus import SynthParams, corpus_words, load_manifest, save_manifest, split, synth_corpus
 from .encoder import Vocab
 from .index import build as build_index
@@ -61,6 +62,9 @@ MODE_ALIASES = {
 }
 
 GRADCHECK_THRESHOLD = 1e-4
+
+# json.dumps(row, sort_keys=True) without building an encoder per row.
+_encode_row = json.JSONEncoder(sort_keys=True).encode
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,10 +108,11 @@ def int_list(value: str) -> tuple[int, ...]:
 
 
 def _write_meta(config: RunConfig, command: str) -> None:
+    resolved = config.resolved()
     meta = {
         "command": command,
-        "config": config.resolved(),
-        "config_hash": config.config_hash(),
+        "config": resolved,
+        "config_hash": resolved_hash(resolved),
         "seed": config.seed,
         "versions": {
             "speechrag": __version__,
@@ -128,11 +133,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_jsonl(path: Path, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+@contextmanager
+def _jsonl_report(path: Path):
+    """Yield a sink that writes a JSONL report's rows one at a time to a
+    temp file that replaces `path` when the block ends; a block that raises
+    leaves the previous report."""
+    with files.replacing(path) as fh:
+        yield lambda row: fh.write((_encode_row(row) + "\n").encode("utf-8"))
+
+
+def _tee(rows, sink):
+    """Yield each of `rows` after handing it to `sink`."""
+    for row in rows:
+        sink(row)
+        yield row
 
 
 def _corruption(config: RunConfig, corpus) -> CorruptionConfig:
@@ -260,19 +274,18 @@ def cmd_search(config: RunConfig, args) -> int:
 
 def cmd_eval_retrieval(config: RunConfig, args) -> int:
     corpus = load_manifest(config.path(config.corpus_manifest))
+    report_dir = config.path(config.report_dir)
     header = ["mode", "passage_wer"] + [f"recall@{k}" for k in config.k_values]
     rows = []
     for mode in args.mode:
         model, corruption = _mode_inputs(config, corpus, mode)
-        report = retrieval_run(corpus, mode, model, k_values=config.k_values, corruption=corruption,
-                               snr_db=args.snr_db, noise_seed=config.seed)
+        with _jsonl_report(report_dir / f"retrieval_{mode.value}.jsonl") as sink:
+            report = retrieval_run(corpus, mode, model, k_values=config.k_values,
+                                   corruption=corruption, snr_db=args.snr_db,
+                                   noise_seed=config.seed, sink=sink)
         wer_cell = "" if report.passage_wer is None else f"{report.passage_wer:.4f}"
         rows.append([mode.value, wer_cell] + [f"{report.recalls[k]:.4f}" for k in config.k_values])
-        _write_jsonl(
-            config.path(config.report_dir) / f"retrieval_{mode.value}.jsonl", report.rows
-        )
-        del report  # so the next mode's rows replace these rather than join them
-    out = config.path(config.report_dir) / "retrieval.csv"
+    out = report_dir / "retrieval.csv"
     _write_csv(out, header, rows)
     print(out)
     for row in rows:
@@ -323,8 +336,11 @@ def cmd_corrupt(config: RunConfig, args) -> int:
         )
     achieved = corpus_wer((r["transcript"], r["corrupted"]) for r in rows)
     out = config.path(config.report_dir) / "corruption.jsonl"
-    _write_jsonl(out, rows + [{"summary": True, "target_wer": corruption.target_wer,
-                               "achieved_wer": round(achieved, 6)}])
+    with _jsonl_report(out) as sink:
+        for row in rows:
+            sink(row)
+        sink({"summary": True, "target_wer": corruption.target_wer,
+              "achieved_wer": round(achieved, 6)})
     print(f"target {corruption.target_wer} achieved {achieved:.4f} -> {out}")
     return 0
 
@@ -334,20 +350,22 @@ def cmd_eval_generation(config: RunConfig, args) -> int:
     mode = args.mode
     model, corruption = _mode_inputs(config, corpus, mode)
     url, timeout_s = config.generator_url, config.generator_timeout_s
-    traces = run_pipeline(
-        corpus,
-        mode,
-        model,
-        k=config.top_k_context,
-        generator=HttpGenerator(url, timeout_s) if url else OracleGenerator(corpus),
-        corruption=corruption,
-        instruction=config.instruction_template,
-        concurrency=config.generator_concurrency,
-    )
     judge = HttpJudge(url, timeout_s) if config.judge == "external" else MockJudge()
-    report = eval_generation(traces, judge=judge)
-    _write_jsonl(config.path(config.report_dir) / f"traces_{mode.value}.jsonl", traces)
-    out = config.path(config.report_dir) / f"generation_{mode.value}.csv"
+    report_dir = config.path(config.report_dir)
+    with (_jsonl_report(report_dir / f"traces_{mode.value}.jsonl") as write_trace,
+          _jsonl_report(report_dir / f"generation_{mode.value}_rows.jsonl") as write_row):
+        traces = run_pipeline(
+            corpus,
+            mode,
+            model,
+            k=config.top_k_context,
+            generator=HttpGenerator(url, timeout_s) if url else OracleGenerator(corpus),
+            corruption=corruption,
+            instruction=config.instruction_template,
+            concurrency=config.generator_concurrency,
+        )
+        report = eval_generation(_tee(traces, write_trace), judge=judge, sink=write_row)
+    out = report_dir / f"generation_{mode.value}.csv"
     em, correctness = (
         "" if mean is None else f"{mean:.4f}" for mean in (report.em_mean, report.correctness_mean)
     )
@@ -356,7 +374,6 @@ def cmd_eval_generation(config: RunConfig, args) -> int:
         ["mode", "exact_match", "llm_correctness", "generator_errors", "judge_errors"],
         [[mode.value, em, correctness, report.generator_errors, report.judge_errors]],
     )
-    _write_jsonl(config.path(config.report_dir) / f"generation_{mode.value}_rows.jsonl", report.rows)
     print(f"{mode.value}: EM {em or 'n/a'} correctness {correctness or 'n/a'} -> {out}")
     return 0
 

@@ -65,7 +65,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name, least in (("hidden_dim", 1), ("encoder_dim", 1), ("encoder_layers", 1),
-                            ("backbone_layers", 0), ("downsample_factor", 1), ("top_k_context", 1)):
+                            ("backbone_layers", 0), ("downsample_factor", 1), ("top_k_context", 1),
+                            ("generator_concurrency", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
         if list(self.k_values) != sorted(self.k_values) or any(k < 1 for k in self.k_values):
@@ -78,6 +79,10 @@ class RunConfig:
         # +inf is the no-noise point; NaN and -inf set no noise level.
         if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid):
             raise ValueError(f"snr_grid values must be numbers or inf, got {self.snr_grid}")
+        # An HTTP call with a timeout of 0 or less, or of inf, always fails.
+        if not 0.0 < self.generator_timeout_s < math.inf:
+            raise ValueError("generator_timeout_s must be a positive finite number of seconds, "
+                             f"got {self.generator_timeout_s}")
         if self.judge not in ("mock", "external"):
             raise ValueError(f"judge must be 'mock' or 'external', got {self.judge!r}")
         if self.judge == "external" and not self.generator_url:
@@ -89,9 +94,12 @@ class RunConfig:
     def resolved(self) -> dict:
         return asdict(self)
 
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+def resolved_hash(resolved: dict) -> str:
+    """sha256 of a resolved config's canonical JSON: the metadata record's
+    `config_hash`."""
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # Resolving the string annotations costs about 0.8 ms; every command loads a config.

@@ -1,7 +1,8 @@
 """The binary container of checkpoints, indexes and embeddings: 8-byte magic |
 version u32 | fields, each a little-endian u32 or u64, a UTF-8 string after
 its u32 byte length, or f32 data. A read consumes the file exactly; a write
-replaces its target only once the whole file is written."""
+replaces its target only once the whole file is written, as the CLI's JSONL
+reports do through the same `replacing`."""
 
 from __future__ import annotations
 
@@ -27,20 +28,28 @@ def f32(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
-def write(path, magic: bytes, fields) -> None:
-    """Write magic, version and `fields` to a temp file beside `path`, unique
-    to the process, then rename it over `path`; a failure deletes it."""
+@contextmanager
+def replacing(path):
+    """Yield a binary file open on a temp file beside `path`, unique to the
+    process, and rename it over `path` when the block ends; a block that
+    raises deletes it, and `path` keeps its previous content."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            fh.write(magic + _U32.pack(VERSION))
-            fh.writelines(fields)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write(path, magic: bytes, fields) -> None:
+    """Write magic, version and `fields` to `path` through `replacing`."""
+    with replacing(path) as fh:
+        fh.write(magic + _U32.pack(VERSION))
+        fh.writelines(fields)
 
 
 class Reader:

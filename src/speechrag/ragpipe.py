@@ -26,7 +26,7 @@ import urllib.request
 from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -409,13 +409,16 @@ def run_pipeline(
     corruption: CorruptionConfig | None = None,
     instruction: str = DEFAULT_INSTRUCTION,
     concurrency: int = 1,
-) -> list[dict]:
+) -> Iterator[dict]:
     """Retrieve top-k for every query over clean passage audio, build
-    per-mode contexts, call the generator, and return one trace row per
-    query: the row that traces_<mode>.jsonl holds. A generator maps a
-    GenerationRequest to its answer string; an exception it raises is
-    recorded in the row's `error` (with an empty `answer`) and the run
-    continues."""
+    per-mode contexts, call the generator, and return an iterator over one
+    trace row per query, in query order: the row that traces_<mode>.jsonl
+    holds. The passages are embedded and indexed before it returns; each
+    query is searched and generated for as its row is taken. A generator
+    maps a GenerationRequest to its answer string; an exception it raises
+    is recorded in the row's `error` (with an empty `answer`) and the run
+    continues. With concurrency > 1, that many threads call the generator,
+    and every query is searched and submitted when the first row is taken."""
     generator = generator if generator is not None else OracleGenerator(corpus)
     context_by_id, hits = _retrieve(corpus, mode, model, k, corruption, None, 0)
 
@@ -442,15 +445,19 @@ def run_pipeline(
         }
 
     if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            return list(pool.map(generate, hits))
-    return [generate(hit) for hit in hits]
+        return _threaded_map(generate, hits, concurrency)
+    return map(generate, hits)
+
+
+def _threaded_map(fn, items, workers: int) -> Iterator:
+    """fn over items on `workers` threads, yielded in item order."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
 @dataclass
 class RetrievalReport:
     recalls: dict[int, float]
-    rows: list[dict] = field(default_factory=list)
     passage_wer: float | None = None
 
 
@@ -462,79 +469,88 @@ def retrieval_run(
     corruption: CorruptionConfig | None = None,
     snr_db: float | None = None,
     noise_seed: int = 0,
+    sink=None,
 ) -> RetrievalReport:
     """Embed passages for the mode, run every query, and report Recall@k for
-    each requested k plus one ranked row per query. Only the rows are kept:
-    each search result is dropped once its row is made."""
+    each requested k. Each query's ranked row, the row that
+    retrieval_<mode>.jsonl holds, goes to `sink` in query order; with no
+    sink no row is made. Only each query's relevant rank is kept."""
     k_values = sorted(k_values)
     contexts, hits = _retrieve(
         corpus, mode, model, max(k_values), corruption, snr_db, noise_seed
     )
-    rows = [
-        {
-            "query_key": key,
-            "query": q.text,
-            "relevant_id": q.relevant_passage_id,
-            "ranked_ids": result.ids,
-            "scores": [round(score, 6) for _, score in result.ranking],
-            "relevant_rank": result.rank_of(q.relevant_passage_id),
-        }
-        for key, q, result in hits
-    ]
-    ranks = [row["relevant_rank"] for row in rows]
+    ranks = []
+    for key, q, result in hits:
+        rank = result.rank_of(q.relevant_passage_id)
+        ranks.append(rank)
+        if sink is not None:
+            sink({
+                "query_key": key,
+                "query": q.text,
+                "relevant_id": q.relevant_passage_id,
+                "ranked_ids": result.ids,
+                "scores": [round(score, 6) for _, score in result.ranking],
+                "relevant_rank": rank,
+            })
     recalls = {k: recall_from_ranks(ranks, k) for k in k_values}
     passage_wer = None
     if mode is PipelineMode.FULLY_CASCADED:
         passage_wer = corpus_wer((p.transcript, contexts[p.id]) for p in corpus.passages)
     elif mode is PipelineMode.GT_TEXT:
         passage_wer = 0.0
-    return RetrievalReport(recalls=recalls, rows=rows, passage_wer=passage_wer)
+    return RetrievalReport(recalls=recalls, passage_wer=passage_wer)
 
 
 @dataclass
 class GenerationReport:
     em_mean: float | None  # None when no row was scored
     correctness_mean: float | None  # None when no row was judged
-    rows: list[dict]
     generator_errors: int
     judge_errors: int
 
 
-def eval_generation(traces: list[dict], judge=None) -> GenerationReport:
-    """Score run_pipeline's trace rows with Exact Match and judge
-    correctness, one row per trace. A trace whose generator raised has no
-    answer to score: its row's scores are None and the judge is not called.
-    Generator and judge failures are excluded from the means and counted;
-    a mean over no rows is None."""
+def eval_generation(traces, judge=None, sink=None) -> GenerationReport:
+    """Score trace rows, as run_pipeline yields them, with Exact Match and
+    judge correctness. Each trace's score row, the row that
+    generation_<mode>_rows.jsonl holds, goes to `sink` in trace order. A
+    trace whose generator raised has no answer to score: its row's scores
+    are None and the judge is not called. Generator and judge failures are
+    excluded from the means and counted; a mean over no rows is None."""
     judge = judge or MockJudge()
-    rows: list[dict] = []
+    em_sum = scored = correct_sum = judged = generator_errors = judge_errors = 0
     for trace in traces:
         query, answer, gold = trace["query"], trace["answer"], trace["gold_answer"]
         em = correct = judge_error = None
-        if trace["error"] is None:
+        if trace["error"] is not None:
+            generator_errors += 1
+        else:
             em = exact_match(answer, gold)
+            em_sum += em
+            scored += 1
             try:
                 correct = judge(query, answer, gold)
             except Exception as exc:
                 judge_error = f"{type(exc).__name__}: {exc}"
-        rows.append({
-            "query_key": trace["query_key"],
-            "query": query,
-            "gold_answer": gold,
-            "answer": answer,
-            "exact_match": em,
-            "correct": correct,
-            "retrieved_ids": trace["retrieved_ids"],
-            "relevant_id": trace["relevant_id"],
-            "generator_error": trace["error"],
-            "judge_error": judge_error,
-        })
-    scored = [row["exact_match"] for row in rows if row["exact_match"] is not None]
-    judged = [row["correct"] for row in rows if row["correct"] is not None]
+                judge_errors += 1
+            if correct is not None:
+                correct_sum += correct
+                judged += 1
+        if sink is not None:
+            sink({
+                "query_key": trace["query_key"],
+                "query": query,
+                "gold_answer": gold,
+                "answer": answer,
+                "exact_match": em,
+                "correct": correct,
+                "retrieved_ids": trace["retrieved_ids"],
+                "relevant_id": trace["relevant_id"],
+                "generator_error": trace["error"],
+                "judge_error": judge_error,
+            })
     return GenerationReport(
-        em_mean=sum(scored) / len(scored) if scored else None,
-        correctness_mean=sum(judged) / len(judged) if judged else None,
-        rows=rows,
-        generator_errors=sum(row["generator_error"] is not None for row in rows),
-        judge_errors=sum(row["judge_error"] is not None for row in rows),
+        em_mean=em_sum / scored if scored else None,
+        correctness_mean=correct_sum / judged if judged else None,
+        generator_errors=generator_errors,
+        judge_errors=judge_errors,
     )

@@ -6,6 +6,7 @@ them.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,14 @@ from speechrag.corpus import (
 from speechrag.adapter import downsample
 from speechrag.dsp import PCM_SCALE, AudioSignal, hz_to_mel, mel_to_hz
 from speechrag.encoder import RetrieverModel, backbone_layers, encoder_layers
-from speechrag.index import SearchResult
+from speechrag.index import SearchResult, build, search
+from speechrag.ragpipe import (
+    DEFAULT_INSTRUCTION,
+    GenerationRequest,
+    MockJudge,
+    exact_match,
+    passage_embeddings,
+)
 from speechrag.training import NORM_GUARD, _cosine_loss_grad
 
 
@@ -196,3 +204,87 @@ def item_loss_and_grads(items, speech, adapter, backbone) -> tuple[float, dict[s
             acc[name] = acc[name] + g if name in acc else g
     scale = 1.0 / len(items)
     return total_loss * scale, {name: g * scale for name, g in acc.items()}
+
+
+# ---------------------------------------------------------------------------
+# Per-query reports built as whole lists
+# ---------------------------------------------------------------------------
+
+
+def _listed_hits(corpus, mode, model, k, corruption, snr_db=None, noise_seed=0):
+    pairs, contexts = passage_embeddings(
+        corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
+    )
+    index = build(pairs)
+    hits = [
+        (f"q{qi:04d}", q, search(index, model.embed_text(q.text), k))
+        for qi, q in enumerate(corpus.queries)
+    ]
+    return contexts, hits
+
+
+def listed_retrieval_rows(corpus, mode, model, k, corruption=None, snr_db=None, noise_seed=0):
+    """Every row of retrieval_<mode>.jsonl at depth k, built as one list
+    after every query is searched."""
+    _, hits = _listed_hits(corpus, mode, model, k, corruption, snr_db, noise_seed)
+    return [
+        {
+            "query_key": key,
+            "query": q.text,
+            "relevant_id": q.relevant_passage_id,
+            "ranked_ids": result.ids,
+            "scores": [round(score, 6) for _, score in result.ranking],
+            "relevant_rank": result.rank_of(q.relevant_passage_id),
+        }
+        for key, q, result in hits
+    ]
+
+
+def listed_traces(corpus, mode, model, k, generator, corruption=None,
+                  instruction=DEFAULT_INSTRUCTION):
+    """Every row of traces_<mode>.jsonl, one generator call per query in
+    query order, built as one list."""
+    contexts, hits = _listed_hits(corpus, mode, model, k, corruption)
+    traces = []
+    for key, q, result in hits:
+        ctx = [contexts[pid] for pid in result.ids]
+        try:
+            answer = generator(
+                GenerationRequest(query=q.text, contexts=tuple(ctx), instruction=instruction)
+            )
+            error = None
+        except Exception as exc:
+            answer, error = "", f"{type(exc).__name__}: {exc}"
+        traces.append({
+            "query_key": key, "query": q.text, "gold_answer": q.gold_answer,
+            "relevant_id": q.relevant_passage_id, "retrieved_ids": result.ids,
+            "contexts": ctx, "answer": answer, "error": error,
+        })
+    return traces
+
+
+def listed_generation_rows(traces, judge=None):
+    """Every row of generation_<mode>_rows.jsonl for a list of traces."""
+    judge = judge or MockJudge()
+    rows = []
+    for trace in traces:
+        em = correct = judge_error = None
+        if trace["error"] is None:
+            em = exact_match(trace["answer"], trace["gold_answer"])
+            try:
+                correct = judge(trace["query"], trace["answer"], trace["gold_answer"])
+            except Exception as exc:
+                judge_error = f"{type(exc).__name__}: {exc}"
+        rows.append({
+            "query_key": trace["query_key"], "query": trace["query"],
+            "gold_answer": trace["gold_answer"], "answer": trace["answer"],
+            "exact_match": em, "correct": correct, "retrieved_ids": trace["retrieved_ids"],
+            "relevant_id": trace["relevant_id"], "generator_error": trace["error"],
+            "judge_error": judge_error,
+        })
+    return rows
+
+
+def jsonl_bytes(rows) -> bytes:
+    """A JSONL report's bytes: one sorted-key JSON object per line."""
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")

@@ -10,7 +10,7 @@ import pytest
 from speechrag import __version__, cli
 from speechrag.checkpoint import save_checkpoint
 from speechrag.cli import main
-from speechrag.config import RunConfig, load_config
+from speechrag.config import RunConfig, load_config, resolved_hash
 from speechrag.encoder import Vocab
 from speechrag.ragpipe import MockJudge
 from speechrag.training import Checkpoint, TrainConfig, build_model
@@ -313,9 +313,9 @@ def test_config_types_accept_ints_for_floats_and_lists_for_tuples(tmp_path):
     spelled_as_floats = load_config(None, {"train": {"lr": 1.0}, "target_wer": 0.0,
                                            "snr_grid": [5.0, 7.5], "synth": {"words_per_passage": [3, 4]}})
     assert config.resolved() == spelled_as_floats.resolved()
-    assert config.config_hash() == spelled_as_floats.config_hash()
-    assert load_config(None, {"target_wer": 0}).config_hash() == (
-        load_config(None, {"target_wer": 0.0}).config_hash())
+    assert resolved_hash(config.resolved()) == resolved_hash(spelled_as_floats.resolved())
+    assert resolved_hash(load_config(None, {"target_wer": 0}).resolved()) == (
+        resolved_hash(load_config(None, {"target_wer": 0.0}).resolved()))
 
 
 def write_checkpoint_with_metadata(path, edit) -> None:
@@ -360,7 +360,7 @@ def test_metadata_record_contents(workspace):
     meta = json.loads((root / "reports/synth.meta.json").read_text())
     assert meta["command"] == "synth"
     assert meta["seed"] == 3
-    assert len(meta["config_hash"]) == 64
+    assert meta["config_hash"] == resolved_hash(load_config(config).resolved())
     assert meta["config"]["synth"]["n_passages"] == 10
     assert {"speechrag", "python", "numpy"} <= set(meta["versions"])
 
@@ -597,6 +597,33 @@ def test_config_corruption_mix_is_checked_at_load(workspace, capsys, mix):
     assert run("corrupt", "--config", str(path)) == 2
     assert "corruption_mix" in capsys.readouterr().err
     assert not (root / "reports/corruption.jsonl").exists()
+
+
+def run_with_edit(root, edit, *argv) -> int:
+    bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    bad.update(edit)
+    path = root / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    return run(*argv, "--config", str(path))
+
+
+@pytest.mark.parametrize("value", [0, -2])
+def test_config_generator_concurrency_below_one_is_exit_two(workspace, capsys, value):
+    root, _ = workspace
+    assert run_with_edit(root, {"generator_concurrency": value},
+                         "eval-generation", "--mode", "gt_text") == 2
+    assert "generator_concurrency must be >= 1" in capsys.readouterr().err
+    assert not (root / "reports").exists()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.5, float("inf"), float("nan")])
+def test_config_generator_timeout_not_positive_is_exit_two(workspace, capsys, value):
+    root, _ = workspace
+    assert run_with_edit(root, {"generator_timeout_s": value},
+                         "eval-generation", "--mode", "gt_text") == 2
+    assert "generator_timeout_s must be a positive finite number" in capsys.readouterr().err
+    assert not (root / "reports").exists()
+    assert load_config(None, {"generator_timeout_s": 0.5}).generator_timeout_s == 0.5
 
 
 # ---------------------------------------------------------------------------

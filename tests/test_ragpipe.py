@@ -280,21 +280,21 @@ def test_fully_cascaded_zero_wer_equals_gt_text(pipe_corpus, pipe_model):
     corruption = CorruptionConfig(
         target_wer=0.0, vocabulary=tuple(corpus_words(pipe_corpus)), seed=0
     )
-    gt = run_pipeline(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k=3)
-    cascaded = run_pipeline(
+    gt = list(run_pipeline(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k=3))
+    cascaded = list(run_pipeline(
         pipe_corpus, PipelineMode.FULLY_CASCADED, pipe_model, k=3, corruption=corruption
-    )
+    ))
     assert gt == cascaded
-    gt_rows = retrieval_run(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k_values=(3,)).rows
-    cascaded_rows = retrieval_run(
-        pipe_corpus, PipelineMode.FULLY_CASCADED, pipe_model, k_values=(3,), corruption=corruption
-    ).rows
+    gt_rows, cascaded_rows = [], []
+    retrieval_run(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k_values=(3,), sink=gt_rows.append)
+    retrieval_run(pipe_corpus, PipelineMode.FULLY_CASCADED, pipe_model, k_values=(3,),
+                  corruption=corruption, sink=cascaded_rows.append)
     assert gt_rows == cascaded_rows  # ids and scores
 
 
 def test_speech_and_semi_cascaded_share_rankings(pipe_corpus, pipe_model):
-    speech = run_pipeline(pipe_corpus, PipelineMode.SPEECH_RAG, pipe_model, k=4)
-    semi = run_pipeline(pipe_corpus, PipelineMode.SEMI_CASCADED, pipe_model, k=4)
+    speech = list(run_pipeline(pipe_corpus, PipelineMode.SPEECH_RAG, pipe_model, k=4))
+    semi = list(run_pipeline(pipe_corpus, PipelineMode.SEMI_CASCADED, pipe_model, k=4))
     for a, b in zip(speech, semi):
         assert a["retrieved_ids"] == b["retrieved_ids"]
     # Contexts differ: audio references vs ground-truth transcripts.
@@ -326,20 +326,27 @@ def test_generator_failure_recorded_run_continues(pipe_corpus, pipe_model):
     def flaky(request):
         raise GeneratorError("synthetic outage")
 
-    traces = run_pipeline(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k=3, generator=flaky)
+    traces = list(
+        run_pipeline(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k=3, generator=flaky)
+    )
     assert len(traces) == len(pipe_corpus.queries)
     assert all(t["error"] and "synthetic outage" in t["error"] for t in traces)
     assert all(t["answer"] == "" for t in traces)
-    report = eval_generation(traces, judge=lambda *args: pytest.fail("judged a failed answer"))
+    rows = []
+    report = eval_generation(
+        traces, judge=lambda *args: pytest.fail("judged a failed answer"), sink=rows.append
+    )
     assert report.generator_errors == len(traces) and report.judge_errors == 0
-    assert all(row["exact_match"] is None and row["correct"] is None for row in report.rows)
+    assert len(rows) == len(traces)
+    assert all(row["exact_match"] is None and row["correct"] is None for row in rows)
     # No row is scored or judged, so neither mean has a value.
     assert report.em_mean is None and report.correctness_mean is None
 
 
 def test_run_pipeline_concurrent_matches_sequential(pipe_corpus, pipe_model):
-    seq = run_pipeline(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k=3, concurrency=1)
-    par = run_pipeline(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k=3, concurrency=4)
+    seq = list(run_pipeline(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k=3, concurrency=1))
+    par = list(run_pipeline(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k=3, concurrency=4))
+    assert len(seq) == len(pipe_corpus.queries)
     assert seq == par
 
 
@@ -350,9 +357,11 @@ def test_eval_generation_means():
             retrieved_ids=["p"], contexts=["c"], answer=answer, error=None,
         )
 
-    report = eval_generation([trace("q0", "gold", "gold"), trace("q1", "nope", "gold")])
+    rows = []
+    report = eval_generation([trace("q0", "gold", "gold"), trace("q1", "nope", "gold")],
+                             sink=rows.append)
     assert report.em_mean == 0.5
-    assert report.rows[0]["exact_match"] == 1
+    assert [row["exact_match"] for row in rows] == [1, 0]
 
 
 def test_eval_generation_judge_errors_excluded():
@@ -385,12 +394,13 @@ def test_retrieval_run_reports_passage_wer(pipe_corpus, pipe_model):
     corruption = CorruptionConfig(
         target_wer=0.3, vocabulary=tuple(corpus_words(pipe_corpus)), seed=2
     )
-    report = retrieval_run(
-        pipe_corpus, PipelineMode.FULLY_CASCADED, pipe_model, k_values=(5,), corruption=corruption
-    )
+    rows = []
+    report = retrieval_run(pipe_corpus, PipelineMode.FULLY_CASCADED, pipe_model, k_values=(5,),
+                           corruption=corruption, sink=rows.append)
     assert report.passage_wer is not None and report.passage_wer > 0.1
     gt = retrieval_run(pipe_corpus, PipelineMode.GT_TEXT, pipe_model, k_values=(5,))
     assert gt.passage_wer == 0.0
-    for row in report.rows:
+    assert len(rows) == len(pipe_corpus.queries)
+    for row in rows:
         assert row["relevant_rank"] is None or row["relevant_rank"] >= 1
         assert len(row["ranked_ids"]) == min(5, len(pipe_corpus.passages))
