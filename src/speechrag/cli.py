@@ -245,17 +245,16 @@ def cmd_embed(config: RunConfig, args) -> int:
     mode = args.mode
     corpus = load_manifest(config.path(config.corpus_manifest))
     model, corruption = _mode_inputs(config, corpus, mode)
-    pairs, _ = passage_embeddings(corpus, mode, model, corruption=corruption, snr_db=args.snr_db,
-                                  noise_seed=config.seed)
+    ids, matrix, _ = passage_embeddings(corpus, mode, model, corruption=corruption,
+                                        snr_db=args.snr_db, noise_seed=config.seed)
     out = config.path(config.embeddings_path, mode=mode.value)
-    save_embeddings(out, [pid for pid, _ in pairs], np.stack([emb for _, emb in pairs]))
-    print(f"wrote {len(pairs)} embeddings to {out}")
+    save_embeddings(out, ids, matrix)
+    print(f"wrote {len(ids)} embeddings to {out}")
     return 0
 
 
 def cmd_index(config: RunConfig, args) -> int:
-    ids, matrix = load_embeddings(config.path(config.embeddings_path, mode=args.mode.value))
-    idx = build_index(zip(ids, matrix))
+    idx = build_index(*load_embeddings(config.path(config.embeddings_path, mode=args.mode.value)))
     out = config.path(config.index_path, mode=args.mode.value)
     save(idx, out)
     print(f"indexed {len(idx)} vectors of dim {idx.dim} at {out}")
@@ -266,8 +265,8 @@ def cmd_search(config: RunConfig, args) -> int:
     idx = load_index(config.path(config.index_path, mode=args.mode.value))
     corpus = load_manifest(config.path(config.corpus_manifest))
     model = _model_for(config, corpus, PipelineMode.GT_TEXT)
-    result = search(idx, model.embed_text(args.query), args.k)
-    for pid, score in result.ranking:
+    ids, scores = search(idx, model.embed_text(args.query), args.k)
+    for pid, score in zip(ids, scores):
         print(json.dumps({"id": pid, "score": round(score, 6)}))
     return 0
 

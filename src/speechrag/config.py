@@ -69,12 +69,14 @@ class RunConfig:
                             ("generator_concurrency", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if list(self.k_values) != sorted(self.k_values) or any(k < 1 for k in self.k_values):
-            raise ValueError("k_values must be positive and sorted ascending")
+        ks = self.k_values
+        if not ks or ks[0] < 1 or any(a >= b for a, b in zip(ks, ks[1:])):
+            raise ValueError(
+                f"k_values must be non-empty, positive and strictly ascending, got {ks}")
         if not 0.0 <= self.target_wer < 1.0:
             raise ValueError("target_wer must lie in [0, 1)")
         mix = self.corruption_mix
-        if min(mix) < 0.0 or abs(sum(mix) - 1.0) > 1e-9:
+        if not (min(mix) >= 0.0 and abs(sum(mix) - 1.0) <= 1e-9):  # NaN fails
             raise ValueError(f"corruption_mix must be non-negative and sum to 1, got {mix}")
         # +inf is the no-noise point; NaN and -inf set no noise level.
         if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid):

@@ -41,10 +41,6 @@ class AudioSignal:
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples contain non-finite values")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -55,14 +51,13 @@ class FeatureConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        for name in ("frame_len", "hop", "log_floor"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails
+                raise ValueError(f"{name} must be positive and finite")
         if self.hop > self.frame_len:
             raise ValueError("hop must not exceed frame_len")
-        if self.hop <= 0 or self.frame_len <= 0:
-            raise ValueError("frame_len and hop must be positive")
         if self.n_mels < 1:
             raise ValueError("n_mels must be >= 1")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
 
     def frame_samples(self, sample_rate: int) -> int:
         return int(round(self.frame_len * sample_rate))

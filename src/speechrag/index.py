@@ -49,25 +49,6 @@ class Index:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Ranked (passage id, cosine score) pairs, scores non-increasing, ties
-    broken by ascending id."""
-
-    ranking: tuple[tuple[str, float], ...]
-
-    @property
-    def ids(self) -> list[str]:
-        return [pid for pid, _ in self.ranking]
-
-    def rank_of(self, passage_id: str) -> int | None:
-        """1-based rank of a passage, or None if outside the ranking."""
-        for pos, (pid, _) in enumerate(self.ranking, start=1):
-            if pid == passage_id:
-                return pos
-        return None
-
-
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     if not np.all((norms > 0.0) & np.isfinite(norms)):  # NaN fails both
@@ -75,24 +56,26 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return (matrix / norms).astype(np.float32)
 
 
-def build(pairs) -> Index:
-    """Build an index from (id, embedding) pairs. Content is independent of
+def build(ids, matrix) -> Index:
+    """Build an index from passage ids and their embedding rows, row i for
+    ids[i]: the shape `load_embeddings` returns. Content is independent of
     input order: rows are stored sorted by id."""
-    pairs = list(pairs)
-    if not pairs:
+    ids = [str(pid) for pid in ids]
+    if not ids:
         raise ValueError("cannot build an empty index")
-    ids = [str(pid) for pid, _ in pairs]
-    dims = {np.asarray(vec).shape for _, vec in pairs}
-    if len(dims) != 1 or len(next(iter(dims))) != 1:
-        raise ValueError(f"inconsistent embedding shapes: {sorted(dims)}")
-    order = sorted(range(len(pairs)), key=lambda i: ids[i])
-    matrix = np.stack([np.asarray(pairs[i][1], dtype=np.float64) for i in order])
-    return Index(ids=tuple(ids[i] for i in order), matrix=_normalize_rows(matrix))
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"embeddings must be a 2-D row matrix, got shape {matrix.shape}")
+    if matrix.shape[0] != len(ids):
+        raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} embedding rows")
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return Index(ids=tuple(ids[i] for i in order), matrix=_normalize_rows(matrix[order]))
 
 
-def search(index: Index, query: np.ndarray, k: int) -> SearchResult:
+def search(index: Index, query: np.ndarray, k: int) -> tuple[list[str], list[float]]:
     """Exact top-k by dot product with the normalized query (equals cosine).
-    Returns min(k, N) results; ties break by ascending passage id."""
+    Returns the min(k, N) best passage ids and their scores, scores
+    non-increasing; ties break by ascending passage id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query = np.asarray(query, dtype=np.float64)
@@ -114,9 +97,7 @@ def search(index: Index, query: np.ndarray, k: int) -> SearchResult:
     # Candidates are ascending rows, so ascending ids: a stable sort breaks
     # exact-score ties by id, and NaN sorts last.
     order = candidates[np.argsort(-scores[candidates], kind="stable")][:k]
-    return SearchResult(
-        ranking=tuple((index.ids[i], float(scores[i])) for i in order)
-    )
+    return [index.ids[i] for i in order], scores[order].tolist()
 
 
 def recall_from_ranks(ranks: list[int | None], k: int) -> float:

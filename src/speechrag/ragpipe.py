@@ -34,7 +34,7 @@ import numpy as np
 from .corpus import Corpus, Passage, Query
 from .dsp import add_noise_snr
 from .encoder import RetrieverModel, words
-from .index import SearchResult, build as build_index, recall_from_ranks, search
+from .index import build as build_index, recall_from_ranks, search
 
 DEFAULT_INSTRUCTION = "Answer the question using the numbered contexts."
 JUDGE_INSTRUCTION = (
@@ -131,7 +131,8 @@ class CorruptionConfig:
         if not 0.0 <= self.target_wer < 1.0:
             raise ValueError("target_wer must lie in [0, 1)")
         weights = (self.sub_weight, self.del_weight, self.ins_weight)
-        if min(weights) < 0.0 or abs(sum(weights) - 1.0) > 1e-9:
+        # Written so that NaN fails: a NaN weight makes the sum NaN.
+        if not (min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-9):
             raise ValueError(f"operation mix weights must be non-negative and sum to 1: {weights}")
 
 
@@ -338,11 +339,13 @@ def passage_embeddings(
     corruption: CorruptionConfig | None = None,
     snr_db: float | None = None,
     noise_seed: int = 0,
-) -> tuple[list[tuple[str, np.ndarray]], dict[str, str]]:
-    """Embed every passage under the given mode's representation and return
-    (id, embedding) pairs plus the context string each passage contributes
-    to generation prompts."""
-    pairs: list[tuple[str, np.ndarray]] = []
+) -> tuple[list[str], np.ndarray, dict[str, str]]:
+    """Embed every passage under the given mode's representation. Returns
+    the passage ids and their embedding rows, both in corpus order, and the
+    context string each passage contributes to generation prompts."""
+    if not corpus.passages:
+        raise ValueError("the corpus has no passages to embed")
+    rows: list[np.ndarray] = []
     contexts: dict[str, str] = {}
     for p in corpus.passages:
         if mode in (PipelineMode.SPEECH_RAG, PipelineMode.SEMI_CASCADED):
@@ -364,13 +367,15 @@ def passage_embeddings(
             contexts[p.id] = p.transcript
         else:
             raise ValueError(f"unhandled mode {mode}")
-        pairs.append((p.id, emb))
-    return pairs, contexts
+        rows.append(emb)
+    return [p.id for p in corpus.passages], np.stack(rows), contexts
 
 
 def _zero_fallback(model: RetrieverModel) -> np.ndarray:
-    # A fully deleted transcript still needs an indexable vector; an all-equal
-    # tiny vector keeps build() happy while ranking last against real queries.
+    # A fully deleted transcript still needs an indexable vector, and an
+    # all-equal tiny one passes build(). It does not rank last by
+    # construction: build() normalises it to the unit diagonal, whose score
+    # depends on the query.
     dim = model.backbone.hidden_dim
     return np.full(dim, 1e-6, dtype=np.float32)
 
@@ -383,16 +388,16 @@ def _retrieve(
     corruption: CorruptionConfig | None,
     snr_db: float | None,
     noise_seed: int,
-) -> tuple[dict[str, str], Iterator[tuple[str, Query, SearchResult]]]:
+) -> tuple[dict[str, str], Iterator[tuple[str, Query, tuple[list[str], list[float]]]]]:
     """The retrieval loop of every pipeline: embed the passages under the
     mode, index them once, and search each query's text embedding to depth
     k. Returns each passage's context string and an iterator that searches
-    lazily, yielding one (query key, query, result) per query in corpus
-    order, so a caller holds only the results it keeps."""
-    pairs, contexts = passage_embeddings(
+    lazily, yielding one (query key, query, (ids, scores)) per query in
+    corpus order, so a caller holds only the results it keeps."""
+    ids, matrix, contexts = passage_embeddings(
         corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
     )
-    idx = build_index(pairs)
+    idx = build_index(ids, matrix)
     hits = (
         (f"q{qi:04d}", q, search(idx, model.embed_text(q.text), k))
         for qi, q in enumerate(corpus.queries)
@@ -423,8 +428,7 @@ def run_pipeline(
     context_by_id, hits = _retrieve(corpus, mode, model, k, corruption, None, 0)
 
     def generate(hit) -> dict:
-        key, q, result = hit
-        ids = result.ids
+        key, q, (ids, _) = hit
         contexts = [context_by_id[pid] for pid in ids]
         try:
             answer = generator(
@@ -480,16 +484,17 @@ def retrieval_run(
         corpus, mode, model, max(k_values), corruption, snr_db, noise_seed
     )
     ranks = []
-    for key, q, result in hits:
-        rank = result.rank_of(q.relevant_passage_id)
+    for key, q, (ids, scores) in hits:
+        relevant = q.relevant_passage_id
+        rank = ids.index(relevant) + 1 if relevant in ids else None
         ranks.append(rank)
         if sink is not None:
             sink({
                 "query_key": key,
                 "query": q.text,
-                "relevant_id": q.relevant_passage_id,
-                "ranked_ids": result.ids,
-                "scores": [round(score, 6) for _, score in result.ranking],
+                "relevant_id": relevant,
+                "ranked_ids": ids,
+                "scores": [round(score, 6) for score in scores],
                 "relevant_rank": rank,
             })
     recalls = {k: recall_from_ranks(ranks, k) for k in k_values}

@@ -55,8 +55,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        for name in ("lr", "eps"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails
+                raise ValueError(f"{name} must be positive and finite")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         for name in ("batch_size", "grad_accum_steps", "max_epochs", "patience"):

@@ -22,7 +22,7 @@ from speechrag.corpus import (
 from speechrag.adapter import downsample
 from speechrag.dsp import PCM_SCALE, AudioSignal, hz_to_mel, mel_to_hz
 from speechrag.encoder import RetrieverModel, backbone_layers, encoder_layers
-from speechrag.index import SearchResult, build, search
+from speechrag.index import build, search
 from speechrag.ragpipe import (
     DEFAULT_INSTRUCTION,
     GenerationRequest,
@@ -33,17 +33,16 @@ from speechrag.ragpipe import (
 from speechrag.training import NORM_GUARD, _cosine_loss_grad
 
 
-def recall_at_k(results: dict[str, SearchResult], qrels: dict[str, str], k: int) -> float:
+def recall_at_k(results: dict[str, list[str]], qrels: dict[str, str], k: int) -> float:
     """Fraction of queries whose single relevant passage appears in the
-    top-k of its result list."""
+    top-k of its ranked id list."""
     if not results:
         raise ValueError("no query results")
     hits = 0
-    for query_key, result in results.items():
+    for query_key, ranked in results.items():
         if query_key not in qrels:
             raise KeyError(f"query {query_key!r} missing from qrels")
-        relevant = qrels[query_key]
-        hits += any(pid == relevant for pid, _ in result.ranking[:k])
+        hits += qrels[query_key] in ranked[:k]
     return hits / len(results)
 
 
@@ -212,10 +211,10 @@ def item_loss_and_grads(items, speech, adapter, backbone) -> tuple[float, dict[s
 
 
 def _listed_hits(corpus, mode, model, k, corruption, snr_db=None, noise_seed=0):
-    pairs, contexts = passage_embeddings(
+    ids, matrix, contexts = passage_embeddings(
         corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
     )
-    index = build(pairs)
+    index = build(ids, matrix)
     hits = [
         (f"q{qi:04d}", q, search(index, model.embed_text(q.text), k))
         for qi, q in enumerate(corpus.queries)
@@ -232,11 +231,12 @@ def listed_retrieval_rows(corpus, mode, model, k, corruption=None, snr_db=None, 
             "query_key": key,
             "query": q.text,
             "relevant_id": q.relevant_passage_id,
-            "ranked_ids": result.ids,
-            "scores": [round(score, 6) for _, score in result.ranking],
-            "relevant_rank": result.rank_of(q.relevant_passage_id),
+            "ranked_ids": ranked,
+            "scores": [round(score, 6) for score in scores],
+            "relevant_rank": next((pos for pos, pid in enumerate(ranked, start=1)
+                                   if pid == q.relevant_passage_id), None),
         }
-        for key, q, result in hits
+        for key, q, (ranked, scores) in hits
     ]
 
 
@@ -246,8 +246,8 @@ def listed_traces(corpus, mode, model, k, generator, corruption=None,
     query order, built as one list."""
     contexts, hits = _listed_hits(corpus, mode, model, k, corruption)
     traces = []
-    for key, q, result in hits:
-        ctx = [contexts[pid] for pid in result.ids]
+    for key, q, (ranked, _) in hits:
+        ctx = [contexts[pid] for pid in ranked]
         try:
             answer = generator(
                 GenerationRequest(query=q.text, contexts=tuple(ctx), instruction=instruction)
@@ -257,7 +257,7 @@ def listed_traces(corpus, mode, model, k, generator, corruption=None,
             answer, error = "", f"{type(exc).__name__}: {exc}"
         traces.append({
             "query_key": key, "query": q.text, "gold_answer": q.gold_answer,
-            "relevant_id": q.relevant_passage_id, "retrieved_ids": result.ids,
+            "relevant_id": q.relevant_passage_id, "retrieved_ids": ranked,
             "contexts": ctx, "answer": answer, "error": error,
         })
     return traces

@@ -477,7 +477,8 @@ def test_external_judge_calls_the_generator_url(workspace, http_server, http_end
     "argv, field",
     [(("eval-generation", "--mode", "gt_text", "--top-k-context", "0"), "top_k_context"),
      (("eval-retrieval", "--mode", "gt_text", "--k", "10,5"), "k_values"),
-     (("eval-retrieval", "--mode", "gt_text", "--k", "0,5"), "k_values")],
+     (("eval-retrieval", "--mode", "gt_text", "--k", "0,5"), "k_values"),
+     (("eval-retrieval", "--mode", "gt_text", "--k", "5,5"), "k_values")],
 )
 def test_config_flag_out_of_bounds_is_exit_two(workspace, capsys, argv, field):
     root, config = workspace
@@ -585,7 +586,10 @@ def test_config_judge_is_checked_at_load(workspace, capsys, edit):
     assert "judge" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mix", [[1.5, -0.5, 0.0], [0.5, 0.5, 0.5]], ids=["negative", "sum"])
+@pytest.mark.parametrize(
+    "mix", [[1.5, -0.5, 0.0], [0.5, 0.5, 0.5], [float("nan"), 0.5, 0.5], [0.5, 0.5, float("inf")]],
+    ids=["negative", "sum", "nan", "inf"],
+)
 def test_config_corruption_mix_is_checked_at_load(workspace, capsys, mix):
     root, config = workspace
     assert run("synth", "--config", config) == 0
@@ -605,6 +609,27 @@ def run_with_edit(root, edit, *argv) -> int:
     path = root / "bad.json"
     path.write_text(json.dumps(bad), encoding="utf-8")
     return run(*argv, "--config", str(path))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [({"train": {"lr": float("nan")}}, "lr must be positive and finite"),
+     ({"train": {"lr": float("inf")}}, "lr must be positive and finite"),
+     ({"train": {"eps": float("nan")}}, "eps must be positive and finite"),
+     ({"train": {"eps": 0.0}}, "eps must be positive and finite"),
+     ({"feature": {"frame_len": float("inf")}}, "frame_len must be positive and finite"),
+     ({"feature": {"hop": float("nan")}}, "hop must be positive and finite"),
+     ({"feature": {"log_floor": float("nan")}}, "log_floor must be positive and finite"),
+     ({"k_values": []}, "k_values must be non-empty"),
+     ({"k_values": [5, 5]}, "k_values must be non-empty, positive and strictly ascending")],
+    ids=["lr-nan", "lr-inf", "eps-nan", "eps-zero", "frame_len-inf", "hop-nan", "log_floor-nan",
+         "k_values-empty", "k_values-repeated"],
+)
+def test_config_value_out_of_range_is_exit_two(workspace, capsys, edit, message):
+    root, _ = workspace
+    assert run_with_edit(root, edit, "train") == 2  # NaN / Infinity literals
+    assert message in capsys.readouterr().err
+    assert not (root / "reports").exists()
 
 
 @pytest.mark.parametrize("value", [0, -2])

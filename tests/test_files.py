@@ -27,7 +27,7 @@ def small_checkpoint() -> Checkpoint:
 
 
 def small_index():
-    return build([("b", [3.0, 4.0]), ("a", [1.0, 0.0])])
+    return build(["b", "a"], [[3.0, 4.0], [1.0, 0.0]])
 
 
 EMB_IDS = ["b", "a"]

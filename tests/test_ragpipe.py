@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -162,6 +164,9 @@ def test_corruption_config_validation():
     with pytest.raises(ValueError, match="non-negative"):
         CorruptionConfig(target_wer=0.1, vocabulary=VOCAB, sub_weight=1.5, del_weight=-0.5,
                          ins_weight=0.0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        CorruptionConfig(target_wer=0.1, vocabulary=VOCAB, sub_weight=float("nan"),
+                         del_weight=0.5, ins_weight=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +297,26 @@ def test_fully_cascaded_zero_wer_equals_gt_text(pipe_corpus, pipe_model):
     assert gt_rows == cascaded_rows  # ids and scores
 
 
+@pytest.mark.parametrize("mode", [PipelineMode.GT_TEXT, PipelineMode.SPEECH_RAG])
+def test_passage_embeddings_rows_follow_corpus_order(pipe_corpus, pipe_model, mode):
+    # Reversed, so that corpus order is not id order.
+    corpus = dataclasses.replace(pipe_corpus, passages=pipe_corpus.passages[::-1])
+    ids, matrix, contexts = passage_embeddings(corpus, mode, pipe_model)
+    assert ids == [p.id for p in corpus.passages] != sorted(ids)
+    assert matrix.shape == (len(ids), pipe_model.backbone.hidden_dim)
+    for p, row in zip(corpus.passages, matrix):
+        want = (pipe_model.embed_text(p.transcript) if mode is PipelineMode.GT_TEXT
+                else pipe_model.embed_speech(corpus.load_audio(p)))
+        assert np.array_equal(row, want)
+    assert list(contexts) == ids
+
+
+def test_passage_embeddings_of_an_empty_corpus_rejected(pipe_corpus, pipe_model):
+    empty = dataclasses.replace(pipe_corpus, passages=(), queries=())
+    with pytest.raises(ValueError, match="no passages"):
+        passage_embeddings(empty, PipelineMode.GT_TEXT, pipe_model)
+
+
 def test_speech_and_semi_cascaded_share_rankings(pipe_corpus, pipe_model):
     speech = list(run_pipeline(pipe_corpus, PipelineMode.SPEECH_RAG, pipe_model, k=4))
     semi = list(run_pipeline(pipe_corpus, PipelineMode.SEMI_CASCADED, pipe_model, k=4))
@@ -309,12 +334,12 @@ def test_fully_deleted_transcript_fallback_ranks_last(hidden_dim):
         corpus = synth_corpus(SynthParams(n_passages=5, seed=seed))
         vocab = Vocab.from_words(corpus_words(corpus))
         model = build_model(vocab, hidden_dim=hidden_dim, seed=seed)
-        pairs, _ = passage_embeddings(corpus, PipelineMode.GT_TEXT, model)
-        idx = build_index(pairs + [("deleted", _zero_fallback(model))])
+        ids, matrix, _ = passage_embeddings(corpus, PipelineMode.GT_TEXT, model)
+        idx = build_index(ids + ["deleted"], np.vstack([matrix, _zero_fallback(model)]))
         for q in corpus.queries:
-            ranking = search(idx, model.embed_text(q.text), len(idx)).ranking
-            assert ranking[-1][0] == "deleted"
-            assert ranking[-1][1] < ranking[-2][1]
+            ranked, scores = search(idx, model.embed_text(q.text), len(idx))
+            assert ranked[-1] == "deleted"
+            assert scores[-1] < scores[-2]
 
 
 def test_fully_cascaded_requires_corruption(pipe_corpus, pipe_model):
