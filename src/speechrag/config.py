@@ -75,6 +75,13 @@ class RunConfig:
                 f"k_values must be non-empty, positive and strictly ascending, got {ks}")
         if not 0.0 <= self.target_wer < 1.0:
             raise ValueError("target_wer must lie in [0, 1)")
+        # Written so that NaN fails; corpus.split checks again for library callers.
+        for name in ("train_frac", "val_frac"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        if self.train_frac + self.val_frac >= 1.0:
+            raise ValueError("train_frac + val_frac must be < 1, "
+                             f"got {self.train_frac} + {self.val_frac}")
         mix = self.corruption_mix
         if not (min(mix) >= 0.0 and abs(sum(mix) - 1.0) <= 1e-9):  # NaN fails
             raise ValueError(f"corruption_mix must be non-negative and sum to 1, got {mix}")

@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import urllib.error
-import urllib.request
 from collections import Counter
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -219,8 +216,11 @@ def audio_reference(passage: Passage) -> str:
 class OracleGenerator:
     """Returns the gold answer iff the relevant passage is among the request
     contexts (matched by ground-truth transcript or audio reference), else an
-    empty string. Makes end-to-end runs LLM-free: EM then equals the hit rate
-    of the retriever at the context depth."""
+    empty string. Makes end-to-end runs LLM-free. For speech, semi-cascaded
+    and gt_text contexts, EM then equals the retriever's hit rate at the
+    context depth. A fully_cascaded context is a corrupted transcript, which
+    matches only if the corruptor left it unchanged, so there EM counts the
+    queries whose relevant passage is retrieved with an unchanged transcript."""
 
     def __init__(self, corpus: Corpus):
         self._by_query: dict[str, tuple[str, set[str]]] = {}
@@ -246,6 +246,11 @@ class HttpGenerator:
         self.timeout_s = timeout_s
 
     def __call__(self, request: GenerationRequest) -> str:
+        # Loaded here, not at the top: the HTTP stack (ssl, email, socket) would
+        # cost every run that never calls it about 3 MiB and a slower cold start.
+        import urllib.error
+        import urllib.request
+
         req = urllib.request.Request(
             self.url,
             data=request.to_json().encode("utf-8"),
@@ -455,6 +460,10 @@ def run_pipeline(
 
 def _threaded_map(fn, items, workers: int) -> Iterator:
     """fn over items on `workers` threads, yielded in item order."""
+    # Loaded here, not at the top: concurrent.futures pulls in logging, which
+    # sequential runs never use.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
 

@@ -621,9 +621,15 @@ def run_with_edit(root, edit, *argv) -> int:
      ({"feature": {"hop": float("nan")}}, "hop must be positive and finite"),
      ({"feature": {"log_floor": float("nan")}}, "log_floor must be positive and finite"),
      ({"k_values": []}, "k_values must be non-empty"),
-     ({"k_values": [5, 5]}, "k_values must be non-empty, positive and strictly ascending")],
+     ({"k_values": [5, 5]}, "k_values must be non-empty, positive and strictly ascending"),
+     ({"train_frac": float("nan")}, "train_frac must lie in (0, 1)"),
+     ({"train_frac": 0.0}, "train_frac must lie in (0, 1)"),
+     ({"val_frac": float("nan")}, "val_frac must lie in (0, 1)"),
+     ({"val_frac": 1.0}, "val_frac must lie in (0, 1)"),
+     ({"train_frac": 0.95, "val_frac": 0.1}, "train_frac + val_frac must be < 1")],
     ids=["lr-nan", "lr-inf", "eps-nan", "eps-zero", "frame_len-inf", "hop-nan", "log_floor-nan",
-         "k_values-empty", "k_values-repeated"],
+         "k_values-empty", "k_values-repeated", "train_frac-nan", "train_frac-zero",
+         "val_frac-nan", "val_frac-one", "fracs-sum-over-one"],
 )
 def test_config_value_out_of_range_is_exit_two(workspace, capsys, edit, message):
     root, _ = workspace

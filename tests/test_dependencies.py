@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +34,20 @@ def test_package_imports_only_stdlib_and_numpy():
     }
     assert not foreign, f"imports outside the stdlib and numpy: {sorted(foreign)}"
 
+
+# Retrieval, training and the oracle generator never reach the network or a
+# thread pool, so importing the CLI must not load either stack.
+LAZY = ("urllib.request", "http.client", "ssl", "socket", "email", "concurrent.futures", "logging")
+
+
+def test_cli_import_leaves_the_http_client_and_thread_pool_unloaded():
+    path = [str(Path(speechrag.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    probe = (
+        "import sys, speechrag.cli; "
+        f"print(' '.join(name for name in {LAZY!r} if name in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert out.stdout.split() == [], f"loaded at import: {out.stdout.split()}"

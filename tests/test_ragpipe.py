@@ -297,6 +297,35 @@ def test_fully_cascaded_zero_wer_equals_gt_text(pipe_corpus, pipe_model):
     assert gt_rows == cascaded_rows  # ids and scores
 
 
+@pytest.mark.parametrize("target_wer", [0.0, 0.35])
+def test_fully_cascaded_oracle_em_counts_retrieved_unchanged_transcripts(target_wer):
+    # Short passages, so that some transcripts survive the corruptor unchanged.
+    corpus = synth_corpus(SynthParams(n_passages=24, vocabulary_size=16,
+                                      words_per_passage=(3, 5), seed=5))
+    model = build_model(Vocab.from_words(corpus_words(corpus)), seed=5)
+    corruption = CorruptionConfig(
+        target_wer=target_wer, vocabulary=tuple(corpus_words(corpus)), seed=0
+    )
+    k = 5
+    report = eval_generation(run_pipeline(
+        corpus, PipelineMode.FULLY_CASCADED, model, k=k, corruption=corruption
+    ))
+    rows = []
+    recall = retrieval_run(corpus, PipelineMode.FULLY_CASCADED, model, k_values=(k,),
+                           corruption=corruption, sink=rows.append).recalls[k]
+    unchanged = {p.id for p in corpus.passages
+                 if corrupt_transcript(p.transcript, corruption) == p.transcript}
+    hits = [row["relevant_id"] in row["ranked_ids"][:k] and row["relevant_id"] in unchanged
+            for row in rows]
+    # The oracle scores a query only when the relevant passage is retrieved
+    # and its transcript came through the corruptor unchanged.
+    assert report.em_mean == sum(hits) / len(hits)
+    if target_wer == 0.0:
+        assert report.em_mean == recall
+    else:
+        assert 0.0 < report.em_mean < recall
+
+
 @pytest.mark.parametrize("mode", [PipelineMode.GT_TEXT, PipelineMode.SPEECH_RAG])
 def test_passage_embeddings_rows_follow_corpus_order(pipe_corpus, pipe_model, mode):
     # Reversed, so that corpus order is not id order.
