@@ -231,12 +231,19 @@ def cmd_train(config: RunConfig, args) -> int:
     model = _build_model(config, vocab, config.train.seed)
     log_path = config.path(config.train_log_path)
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    result = train(train_corpus, val_corpus, config.train, model=model, log_path=log_path)
-    save_checkpoint(result.checkpoint, config.path(config.checkpoint_path))
-    last = result.history[-1]
+    rows = []
+    # Written in place, a line as each epoch ends: a run that dies keeps the
+    # epochs it finished.
+    with log_path.open("w", encoding="utf-8", buffering=1) as log:
+        def log_row(row):
+            log.write(json.dumps(row) + "\n")
+            rows.append(row)
+
+        checkpoint = train(train_corpus, val_corpus, config.train, model=model, sink=log_row)
+    save_checkpoint(checkpoint, config.path(config.checkpoint_path))
+    last = rows[-1]
     print(f"trained {last['epoch']} epochs, stopped by {last['stop_reason']}; "
-          f"best epoch {result.checkpoint.epoch} "
-          f"(val loss {result.checkpoint.best_val_loss:.6f}); "
+          f"best epoch {checkpoint.epoch} (val loss {checkpoint.best_val_loss:.6f}); "
           f"checkpoint at {config.path(config.checkpoint_path)}")
     return 0
 

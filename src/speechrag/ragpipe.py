@@ -260,10 +260,11 @@ class HttpGenerator:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+        except (urllib.error.URLError, TimeoutError, UnicodeDecodeError,
+                json.JSONDecodeError) as exc:
             raise GeneratorError(f"generator call to {self.url} failed: {exc}") from exc
-        if "answer" not in payload:
-            raise GeneratorError(f"generator response missing 'answer': {payload!r}")
+        if not isinstance(payload, dict) or "answer" not in payload:
+            raise GeneratorError(f"generator response is not an object with 'answer': {payload!r}")
         return str(payload["answer"])
 
 

@@ -14,10 +14,9 @@ against central differences.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -294,12 +293,6 @@ class Checkpoint:
     epoch: int
 
 
-@dataclass
-class TrainResult:
-    checkpoint: Checkpoint
-    history: list[dict] = field(default_factory=list)
-
-
 def _corpus_items(corpus: Corpus, model: RetrieverModel) -> list[tuple[np.ndarray, np.ndarray]]:
     """(features, text target) per passage, in the model's dtype."""
     items = []
@@ -341,16 +334,18 @@ def train(
     val_corpus: Corpus,
     config: TrainConfig,
     model: RetrieverModel,
-    log_path=None,
-) -> TrainResult:
-    """Train `model`'s speech branch with the distillation recipe:
-    seeded-shuffled micro-batches, gradients averaged over grad_accum_steps
-    micro-batches per optimizer step (a trailing shorter accumulation window
-    at the epoch end is averaged over its actual length), epoch-level
-    validation, early stopping on val loss with the configured patience,
-    best checkpoint retained. The model's arrays are never mutated. The last
-    history row (and log line) says why training stopped: `stop_reason` is
-    "patience" or "max_epochs".
+    sink=None,
+) -> Checkpoint:
+    """Train `model`'s speech branch with the distillation recipe and return
+    the best epoch's checkpoint. Each epoch walks a seeded shuffle of the
+    training items in windows of batch_size x grad_accum_steps items; each
+    window's micro-batch gradients are summed in order and one Adam step
+    takes their mean over the window's micro-batches (a shorter last window
+    is averaged over the micro-batches it holds). Validation loss is taken
+    after every epoch, and training stops once it has not improved for
+    `patience` epochs. One row per epoch goes to `sink`; the last row's
+    `stop_reason` says why training stopped, "patience" or "max_epochs".
+    The model's arrays are never written: every Adam step makes new ones.
     """
     if not train_corpus.passages or not val_corpus.passages:
         raise ValueError("train and val corpora must be non-empty")
@@ -358,28 +353,23 @@ def train(
     train_items = _corpus_items(train_corpus, model)
     val_items = _corpus_items(val_corpus, model)
 
-    tensors = dict(trainable_tensors(model.speech, model.adapter))
-    n_enc = len(model.speech.layers)
-    factor = model.adapter.downsample_factor
+    speech, adapter = model.speech, model.adapter
+    tensors = trainable_tensors(speech, adapter)
+    n_enc, factor = len(speech.layers), adapter.downsample_factor
     state = AdamState.init(tensors)
     stopper = EarlyStopper(patience=config.patience)
-    best_tensors = {k: v.copy() for k, v in tensors.items()}
+    best = model
     rng = np.random.default_rng([config.seed, 20])
-    history: list[dict] = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    window = config.batch_size * config.grad_accum_steps
     started = time.monotonic()
-    # Every epoch ends with an Adam step, which rebuilds speech and adapter.
-    speech, adapter = params_from_tensors(tensors, n_enc, factor)
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(len(train_items))
-            acc_grads: dict[str, np.ndarray] | None = None
-            acc_count = 0
-            epoch_loss = 0.0
-            n_seen = 0
-            for start in range(0, len(order), config.batch_size):
-                batch_idx = order[start : start + config.batch_size]
-                batch = [train_items[i] for i in batch_idx]
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(train_items))
+        epoch_loss = 0.0
+        for first in range(0, len(order), window):
+            starts = range(first, min(first + window, len(order)), config.batch_size)
+            total = None
+            for start in starts:
+                batch = [train_items[i] for i in order[start : start + config.batch_size]]
                 try:
                     loss, grads = loss_and_grads(batch, speech, adapter, model.backbone)
                 except FloatingPointError as exc:
@@ -391,51 +381,31 @@ def train(
                         f"non-finite loss at epoch {epoch}, micro-batch at item {start}"
                     )
                 epoch_loss += loss * len(batch)
-                n_seen += len(batch)
-                if acc_grads is None:
-                    acc_grads = grads
-                else:
-                    for name, g in grads.items():
-                        acc_grads[name] += g
-                acc_count += 1
-                is_last = start + config.batch_size >= len(order)
-                if acc_count == config.grad_accum_steps or is_last:
-                    mean_grads = {name: g / acc_count for name, g in acc_grads.items()}
-                    tensors, state = adam_step(tensors, mean_grads, state, config)
-                    speech, adapter = params_from_tensors(tensors, n_enc, factor)
-                    acc_grads = None
-                    acc_count = 0
+                total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
+            mean = {k: g / len(starts) for k, g in total.items()}
+            tensors, state = adam_step(tensors, mean, state, config)
+            speech, adapter = params_from_tensors(tensors, n_enc, factor)
 
-            val_loss = evaluate_loss(val_items, speech, adapter, model.backbone)
-            row = {
-                "epoch": epoch,
-                "train_loss": epoch_loss / n_seen,
-                "val_loss": val_loss,
-                "elapsed_s": time.monotonic() - started,
-            }
-            should_stop = stopper.update(epoch, val_loss)
-            if stopper.best_epoch == epoch:
-                best_tensors = {k: v.copy() for k, v in tensors.items()}
-            if should_stop or epoch == config.max_epochs:
-                row["stop_reason"] = "patience" if should_stop else "max_epochs"
-            history.append(row)
-            if log_fh:
-                log_fh.write(json.dumps(row) + "\n")
-            if should_stop:
-                break
-    finally:
-        if log_fh:
-            log_fh.close()
+        val_loss = evaluate_loss(val_items, speech, adapter, model.backbone)
+        row = {
+            "epoch": epoch,
+            "train_loss": epoch_loss / len(order),
+            "val_loss": val_loss,
+            "elapsed_s": time.monotonic() - started,
+        }
+        should_stop = stopper.update(epoch, val_loss)
+        if stopper.best_epoch == epoch:
+            best = replace(model, speech=speech, adapter=adapter)
+        if should_stop or epoch == config.max_epochs:
+            row["stop_reason"] = "patience" if should_stop else "max_epochs"
+        if sink is not None:
+            sink(row)
+        if should_stop:
+            break
 
-    best_speech, best_adapter = params_from_tensors(best_tensors, n_enc, factor)
-    best_model = replace(model, speech=best_speech, adapter=best_adapter)
-    checkpoint = Checkpoint(
-        model=best_model,
-        train_config=config,
-        best_val_loss=stopper.best,
-        epoch=stopper.best_epoch,
+    return Checkpoint(
+        model=best, train_config=config, best_val_loss=stopper.best, epoch=stopper.best_epoch
     )
-    return TrainResult(checkpoint=checkpoint, history=history)
 
 
 def evaluate_loss(items, speech, adapter, backbone) -> float:

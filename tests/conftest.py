@@ -39,22 +39,31 @@ def convergence_run(seed7_splits, seed7_vocab):
     train_corpus, val_corpus, _ = seed7_splits
     config = TrainConfig(max_epochs=200, seed=7)
     started = time.monotonic()
-    result = train(train_corpus, val_corpus, config, build_model(seed7_vocab, seed=7))
+    checkpoint = train(train_corpus, val_corpus, config, build_model(seed7_vocab, seed=7))
     elapsed = time.monotonic() - started
-    return result, elapsed
+    return checkpoint, elapsed
 
 
 @pytest.fixture(scope="session")
 def trained_model(convergence_run):
-    result, _ = convergence_run
-    return result.checkpoint.model
+    checkpoint, _ = convergence_run
+    return checkpoint.model
+
+
+# Reply bodies that are not a JSON object holding "answer", by query.
+BAD_REPLIES = {
+    "list-reply": b'["answer"]',
+    "string-reply": b'"the answer"',
+    "non-utf8-reply": b'\xff\xfe{"answer": "1"}',
+}
 
 
 class _EchoHandler(BaseHTTPRequestHandler):
     """A loopback generator and judge over the generator wire protocol. It
     echoes generation requests, answers judge requests with 1 when the
-    candidate answer holds "same", fails the query "boom" with HTTP 500, and
-    records every request body in its server's `received` list."""
+    candidate answer holds "same", fails the query "boom" with HTTP 500,
+    sends the body BAD_REPLIES names for its queries, and records every
+    request body in its server's `received` list."""
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -68,7 +77,7 @@ class _EchoHandler(BaseHTTPRequestHandler):
             answer = "1" if "same" in request["contexts"][0] else "0"
         else:
             answer = f"echo:{request['query']}:{len(request['contexts'])}"
-        body = json.dumps({"answer": answer}).encode("utf-8")
+        body = BAD_REPLIES.get(request["query"], json.dumps({"answer": answer}).encode("utf-8"))
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from speechrag.ragpipe import (
     exact_match,
     passage_embeddings,
 )
+from speechrag import training
 from speechrag.training import NORM_GUARD, _cosine_loss_grad
 
 
@@ -203,6 +205,68 @@ def item_loss_and_grads(items, speech, adapter, backbone) -> tuple[float, dict[s
             acc[name] = acc[name] + g if name in acc else g
     scale = 1.0 / len(items)
     return total_loss * scale, {name: g * scale for name, g in acc.items()}
+
+
+def reference_train(train_corpus, val_corpus, config, model):
+    """The counter-based training loop; the reference of `training.train`.
+    Micro-batch gradients are accumulated in place, and an Adam step is
+    taken after every grad_accum_steps micro-batches and after the epoch's
+    last micro-batch, on the mean over the micro-batches since the previous
+    step. It calls the same `loss_and_grads`, `adam_step` and
+    `evaluate_loss`. Returns the best epoch's checkpoint and the epoch rows
+    without `elapsed_s`."""
+    train_items = training._corpus_items(train_corpus, model)
+    val_items = training._corpus_items(val_corpus, model)
+    tensors = dict(training.trainable_tensors(model.speech, model.adapter))
+    n_enc, factor = len(model.speech.layers), model.adapter.downsample_factor
+    state = training.AdamState.init(tensors)
+    stopper = training.EarlyStopper(patience=config.patience)
+    best_tensors = {k: v.copy() for k, v in tensors.items()}
+    rng = np.random.default_rng([config.seed, 20])
+    history = []
+    speech, adapter = training.params_from_tensors(tensors, n_enc, factor)
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(train_items))
+        acc_grads = None
+        acc_count = 0
+        epoch_loss = 0.0
+        n_seen = 0
+        for start in range(0, len(order), config.batch_size):
+            batch = [train_items[i] for i in order[start : start + config.batch_size]]
+            loss, grads = training.loss_and_grads(batch, speech, adapter, model.backbone)
+            epoch_loss += loss * len(batch)
+            n_seen += len(batch)
+            if acc_grads is None:
+                acc_grads = grads
+            else:
+                for name, g in grads.items():
+                    acc_grads[name] += g
+            acc_count += 1
+            is_last = start + config.batch_size >= len(order)
+            if acc_count == config.grad_accum_steps or is_last:
+                mean_grads = {name: g / acc_count for name, g in acc_grads.items()}
+                tensors, state = training.adam_step(tensors, mean_grads, state, config)
+                speech, adapter = training.params_from_tensors(tensors, n_enc, factor)
+                acc_grads = None
+                acc_count = 0
+        val_loss = training.evaluate_loss(val_items, speech, adapter, model.backbone)
+        row = {"epoch": epoch, "train_loss": epoch_loss / n_seen, "val_loss": val_loss}
+        should_stop = stopper.update(epoch, val_loss)
+        if stopper.best_epoch == epoch:
+            best_tensors = {k: v.copy() for k, v in tensors.items()}
+        if should_stop or epoch == config.max_epochs:
+            row["stop_reason"] = "patience" if should_stop else "max_epochs"
+        history.append(row)
+        if should_stop:
+            break
+    best_speech, best_adapter = training.params_from_tensors(best_tensors, n_enc, factor)
+    checkpoint = training.Checkpoint(
+        model=replace(model, speech=best_speech, adapter=best_adapter),
+        train_config=config,
+        best_val_loss=stopper.best,
+        epoch=stopper.best_epoch,
+    )
+    return checkpoint, history
 
 
 # ---------------------------------------------------------------------------

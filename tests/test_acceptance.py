@@ -63,9 +63,9 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_distillation_convergence(convergence_run, seed7_splits):
-    result, elapsed = convergence_run
+    checkpoint, elapsed = convergence_run
     train_corpus, val_corpus, _ = seed7_splits
-    model = result.checkpoint.model
+    model = checkpoint.model
     train_cos = mean_cosine(train_corpus, model)
     val_cos = mean_cosine(val_corpus, model)
     report(

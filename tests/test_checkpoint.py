@@ -31,8 +31,7 @@ def checkpoint():
     corpus, tr, va = small_splits()
     vocab = Vocab.from_words(corpus_words(corpus))
     model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=2)
-    result = train(tr, va, TrainConfig(max_epochs=2, seed=2), model)
-    return result.checkpoint
+    return train(tr, va, TrainConfig(max_epochs=2, seed=2), model)
 
 
 def test_roundtrip_bit_stable(checkpoint, tmp_path):
@@ -59,9 +58,9 @@ def test_loaded_tensors_are_read_only_and_still_train(checkpoint, tmp_path):
     tensors = trainable_tensors(model.speech, model.adapter)
     assert not any(arr.flags.writeable for arr in tensors.values())
     _, tr, va = small_splits()
-    result = train(tr, va, TrainConfig(max_epochs=1, seed=3), model)
-    trained = trainable_tensors(result.checkpoint.model.speech, result.checkpoint.model.adapter)
-    assert any(not np.array_equal(trained[name], tensors[name]) for name in tensors)
+    trained = train(tr, va, TrainConfig(max_epochs=1, seed=3), model).model
+    after = trainable_tensors(trained.speech, trained.adapter)
+    assert any(not np.array_equal(after[name], tensors[name]) for name in tensors)
 
 
 def test_double_save_byte_identical(checkpoint, tmp_path):

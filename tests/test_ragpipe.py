@@ -34,6 +34,8 @@ from speechrag.training import build_model
 from speechrag.encoder import Vocab
 from speechrag.index import build as build_index, search
 
+from conftest import BAD_REPLIES
+
 
 @pytest.fixture(scope="module")
 def pipe_corpus():
@@ -266,6 +268,20 @@ def test_http_judge(http_endpoint):
     judge = HttpJudge(http_endpoint, timeout_s=5.0)
     assert judge("q", "same thing", "same thing") == 1
     assert judge("q", "different", "gold") == 0
+
+
+@pytest.mark.parametrize("query", sorted(BAD_REPLIES))
+def test_http_generator_bad_reply_is_generator_error(http_endpoint, query):
+    generator = HttpGenerator(http_endpoint, timeout_s=5.0)
+    with pytest.raises(GeneratorError, match="generator"):
+        generator(GenerationRequest(query=query, contexts=("a",)))
+
+
+@pytest.mark.parametrize("query", sorted(BAD_REPLIES))
+def test_http_judge_bad_reply_is_generator_error(http_endpoint, query):
+    judge = HttpJudge(http_endpoint, timeout_s=5.0)
+    with pytest.raises(GeneratorError, match="generator"):
+        judge(query, "same thing", "same thing")
 
 
 # ---------------------------------------------------------------------------

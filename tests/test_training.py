@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import replace
 
@@ -29,7 +28,7 @@ from speechrag.training import (
     _forward,
 )
 
-from oracles import cosine_loss, forward_item, item_loss_and_grads, mean_cosine
+from oracles import cosine_loss, forward_item, item_loss_and_grads, mean_cosine, reference_train
 
 
 @pytest.fixture(scope="module")
@@ -393,29 +392,34 @@ def test_train_deterministic_checkpoints(small_corpus):
     tr, va, _ = split(small_corpus, 0.5, 0.25, seed=1)
     config = TrainConfig(max_epochs=3, seed=5)
     vocab = Vocab.from_words(corpus_words(small_corpus))
-    first = train(tr, va, config, build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5))
-    second = train(tr, va, config, build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5))
-    a = trainable_tensors(first.checkpoint.model.speech, first.checkpoint.model.adapter)
-    b = trainable_tensors(second.checkpoint.model.speech, second.checkpoint.model.adapter)
+    first_rows, second_rows = [], []
+    first = train(tr, va, config, build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5),
+                  sink=first_rows.append)
+    second = train(tr, va, config, build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5),
+                   sink=second_rows.append)
+    a = trainable_tensors(first.model.speech, first.model.adapter)
+    b = trainable_tensors(second.model.speech, second.model.adapter)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
-    assert first.checkpoint.best_val_loss == second.checkpoint.best_val_loss
-    assert [r["val_loss"] for r in first.history] == [r["val_loss"] for r in second.history]
+    assert first.best_val_loss == second.best_val_loss
+    assert [r["val_loss"] for r in first_rows] == [r["val_loss"] for r in second_rows]
 
 
-def test_train_says_why_it_stopped(small_corpus, monkeypatch, tmp_path):
+def test_train_says_why_it_stopped(small_corpus, monkeypatch):
     tr, va, _ = split(small_corpus, 0.5, 0.25, seed=1)
     vocab = Vocab.from_words(corpus_words(small_corpus))
     model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5)
-    result = train(tr, va, TrainConfig(max_epochs=2, patience=5), model)
-    assert [row.get("stop_reason") for row in result.history] == [None, "max_epochs"]
+    rows = []
+    train(tr, va, TrainConfig(max_epochs=2, patience=5), model, sink=rows.append)
+    assert [row.get("stop_reason") for row in rows] == [None, "max_epochs"]
+    assert [row["epoch"] for row in rows] == [1, 2]
     # A val loss that never improves after epoch 1 runs out a patience of 2
     # at epoch 3, before max_epochs.
     monkeypatch.setattr(training, "evaluate_loss", lambda *args: 0.5)
-    log = tmp_path / "train_log.jsonl"
-    result = train(tr, va, TrainConfig(max_epochs=10, patience=2), model, log_path=log)
-    assert [row.get("stop_reason") for row in result.history] == [None, None, "patience"]
-    assert [json.loads(line) for line in log.read_text().splitlines()] == result.history
+    rows = []
+    checkpoint = train(tr, va, TrainConfig(max_epochs=10, patience=2), model, sink=rows.append)
+    assert [row.get("stop_reason") for row in rows] == [None, None, "patience"]
+    assert (checkpoint.epoch, checkpoint.best_val_loss) == (1, 0.5)
 
 
 def test_backbone_frozen_through_training(small_corpus):
@@ -423,9 +427,81 @@ def test_backbone_frozen_through_training(small_corpus):
     vocab = Vocab.from_words(corpus_words(small_corpus))
     model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=2)
     before = backbone_checksum(model.backbone)
-    result = train(tr, va, TrainConfig(max_epochs=2, seed=2), model=model)
+    checkpoint = train(tr, va, TrainConfig(max_epochs=2, seed=2), model=model)
     assert backbone_checksum(model.backbone) == before
-    assert backbone_checksum(result.checkpoint.model.backbone) == before
+    assert backbone_checksum(checkpoint.model.backbone) == before
+
+
+@pytest.fixture(scope="module")
+def loop_splits():
+    """14 training and 3 validation passages, and their vocabulary."""
+    corpus = synth_corpus(
+        SynthParams(n_passages=20, vocabulary_size=12, words_per_passage=(4, 8), seed=13)
+    )
+    tr, va, _ = split(corpus, 0.7, 0.15, seed=1)
+    return tr, va, Vocab.from_words(corpus_words(corpus))
+
+
+# (batch_size, grad_accum_steps, lr, max_epochs, stop_reason) over 14
+# training items, with the micro-batch sizes of each optimizer window.
+LOOP_SHAPES = [
+    pytest.param(4, 3, 5e-5, 3, "max_epochs", id="short-last-window"),  # [4 4 4] [2]
+    pytest.param(3, 2, 5e-5, 3, "max_epochs", id="partial-micro-batch"),  # [3 3] [3 3] [2]
+    pytest.param(2, 7, 5e-5, 2, "max_epochs", id="one-full-window"),  # [2 2 2 2 2 2 2]
+    pytest.param(5, 1, 5e-5, 2, "max_epochs", id="no-accumulation"),  # [5] [5] [4]
+    # At this rate the val loss stops improving, so a patience of 2 ends the
+    # run before max_epochs, after its best epoch.
+    pytest.param(3, 2, 3e-2, 30, "patience", id="patience"),
+]
+
+
+@pytest.mark.parametrize("batch_size, accum, lr, max_epochs, stop_reason", LOOP_SHAPES)
+def test_train_equals_reference_loop(
+    loop_splits, monkeypatch, batch_size, accum, lr, max_epochs, stop_reason
+):
+    tr, va, vocab = loop_splits
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5)
+    config = TrainConfig(lr=lr, batch_size=batch_size, grad_accum_steps=accum,
+                         max_epochs=max_epochs, patience=2, seed=3)
+    expected, history = reference_train(tr, va, config, model)
+
+    adam_step = training.adam_step
+    steps, rows, steps_at_row = [], [], []
+
+    def counted_adam_step(*args):
+        steps.append(None)
+        return adam_step(*args)
+
+    def sink(row):
+        rows.append(row)
+        steps_at_row.append(len(steps))
+
+    monkeypatch.setattr(training, "adam_step", counted_adam_step)
+    checkpoint = train(tr, va, config, model, sink=sink)
+
+    assert [{k: v for k, v in row.items() if k != "elapsed_s"} for row in rows] == history
+    assert (checkpoint.epoch, checkpoint.best_val_loss) == (expected.epoch, expected.best_val_loss)
+    got = trainable_tensors(checkpoint.model.speech, checkpoint.model.adapter)
+    want = trainable_tensors(expected.model.speech, expected.model.adapter)
+    for name in want:
+        assert got[name].dtype == want[name].dtype == np.float32, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+    per_epoch = math.ceil(math.ceil(len(tr.passages) / batch_size) / accum)
+    assert np.diff(steps_at_row, prepend=0).tolist() == [per_epoch] * len(rows)
+    assert rows[-1]["stop_reason"] == stop_reason
+
+
+def test_train_leaves_the_model_unchanged(loop_splits):
+    tr, va, vocab = loop_splits
+    model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=5)
+    before = {k: arr.copy() for k, arr in trainable_tensors(model.speech, model.adapter).items()}
+    config = TrainConfig(max_epochs=2, batch_size=3, grad_accum_steps=2, seed=3)
+    checkpoint = train(tr, va, config, model)
+    after = trainable_tensors(model.speech, model.adapter)
+    trained = trainable_tensors(checkpoint.model.speech, checkpoint.model.adapter)
+    for name, arr in before.items():
+        assert after[name].tobytes() == arr.tobytes(), name
+        assert not np.array_equal(trained[name], arr), name
 
 
 def test_train_loss_nonincreasing_after_epoch_3_in_most_runs(seed7_splits, seed7_vocab):
@@ -434,9 +510,10 @@ def test_train_loss_nonincreasing_after_epoch_3_in_most_runs(seed7_splits, seed7
     tr, va, _ = seed7_splits
     ok = 0
     for seed in range(10):
-        result = train(tr, va, TrainConfig(max_epochs=12, patience=12, seed=seed),
-                       build_model(seed7_vocab, seed=seed))
-        losses = [row["train_loss"] for row in result.history]
+        rows = []
+        train(tr, va, TrainConfig(max_epochs=12, patience=12, seed=seed),
+              build_model(seed7_vocab, seed=seed), sink=rows.append)
+        losses = [row["train_loss"] for row in rows]
         tail = losses[2:]
         if all(b <= a + 1e-9 for a, b in zip(tail, tail[1:])):
             ok += 1
@@ -448,8 +525,8 @@ def test_mean_cosine_improves_with_training(small_corpus):
     vocab = Vocab.from_words(corpus_words(small_corpus))
     model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=4)
     before = mean_cosine(tr, model)
-    result = train(tr, va, TrainConfig(max_epochs=10, patience=10, seed=4), model=model)
-    after = mean_cosine(tr, result.checkpoint.model)
+    checkpoint = train(tr, va, TrainConfig(max_epochs=10, patience=10, seed=4), model=model)
+    after = mean_cosine(tr, checkpoint.model)
     assert after > before
 
 
