@@ -75,11 +75,41 @@ class Query:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Passages and the queries that reference them. Construction checks
+    every corpus rule and raises ValueError on the first breach."""
+
     passages: tuple[Passage, ...]
     queries: tuple[Query, ...]
     sample_rate: int = SYNTH_SAMPLE_RATE
     base_dir: str | None = None
     codebook: Codebook | None = None
+
+    def __post_init__(self):
+        codebook = self.codebook
+        if codebook is not None and codebook.sample_rate != self.sample_rate:
+            raise ValueError(
+                f"codebook sample rate {codebook.sample_rate} does not "
+                f"match corpus rate {self.sample_rate}"
+            )
+        by_id = self.passages_by_id
+        if len(by_id) != len(self.passages):
+            seen: set[str] = set()
+            dup = next(p.id for p in self.passages if p.id in seen or seen.add(p.id))
+            raise ValueError(f"duplicate passage id {dup!r}")
+        for p in self.passages:
+            if not p.transcript:
+                raise ValueError(f"passage {p.id}: empty transcript")
+            if p.audio_path is None:
+                if codebook is None:
+                    raise ValueError(f"passage {p.id}: no file reference and no codebook")
+                missing = [w for w in p.transcript.split() if w not in codebook.patterns]
+                if missing:
+                    raise ValueError(f"passage {p.id}: word {missing[0]!r} is not in the codebook")
+        for q in self.queries:
+            if q.relevant_passage_id not in by_id:
+                raise ValueError(
+                    f"query {q.text!r}: dangling relevant_passage_id {q.relevant_passage_id!r}"
+                )
 
     @cached_property
     def passages_by_id(self) -> dict[str, Passage]:
@@ -90,10 +120,6 @@ class Corpus:
 
     def load_audio(self, passage: Passage) -> AudioSignal:
         if passage.audio_path is None:
-            if self.codebook is None:
-                raise ValueError(
-                    f"passage {passage.id} has no file reference and the corpus no codebook"
-                )
             return self.codebook.render(passage.transcript)
         root = Path(self.base_dir) if self.base_dir else Path(".")
         signal = read_wav(root / passage.audio_path)
@@ -103,39 +129,6 @@ class Corpus:
                 f"match corpus rate {self.sample_rate}"
             )
         return signal
-
-
-def validate_corpus(corpus: Corpus) -> None:
-    """Check every corpus invariant, raising ValueError on the first breach."""
-    codebook = corpus.codebook
-    if codebook is not None and codebook.sample_rate != corpus.sample_rate:
-        raise ValueError(
-            f"codebook sample rate {codebook.sample_rate} does not "
-            f"match corpus rate {corpus.sample_rate}"
-        )
-    seen: set[str] = set()
-    for p in corpus.passages:
-        if p.id in seen:
-            raise ValueError(f"duplicate passage id {p.id!r}")
-        seen.add(p.id)
-        if not p.transcript:
-            raise ValueError(f"passage {p.id}: empty transcript")
-        if p.audio_path is None:
-            if codebook is None:
-                raise ValueError(f"passage {p.id}: no file reference and no codebook")
-            missing = [w for w in p.transcript.split() if w not in codebook.patterns]
-            if missing:
-                raise ValueError(f"passage {p.id}: word {missing[0]!r} is not in the codebook")
-    _check_references(corpus.queries, seen)
-
-
-def _check_references(queries, passage_ids) -> None:
-    """Raise ValueError for the first query whose passage is not in passage_ids."""
-    for q in queries:
-        if q.relevant_passage_id not in passage_ids:
-            raise ValueError(
-                f"query {q.text!r}: dangling relevant_passage_id {q.relevant_passage_id!r}"
-            )
 
 
 def corpus_words(corpus: Corpus) -> list[str]:
@@ -167,72 +160,62 @@ def load_manifest(path) -> Corpus:
             line = line.strip()
             if not line:
                 continue
+            # Each check raises a plain ValueError; the handler below names the line.
             try:
-                record = _decode_line(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "kind" not in record:
-                raise ManifestError(f"line {lineno}: record has no 'kind' field")
-            kind = record["kind"]
-            if kind == "passage":
-                # The first missing field, in this order, names the error.
                 try:
-                    pid, audio, transcript = record["id"], record["audio"], record["transcript"]
-                except KeyError as exc:
-                    raise ManifestError(
-                        f"line {lineno}: passage record missing {exc.args[0]!r}"
-                    ) from None
-                if not transcript:
-                    raise ManifestError(f"line {lineno}: passage {pid!r} has empty transcript")
-                if not isinstance(audio, str):
-                    raise ManifestError(
-                        f"line {lineno}: passage {pid!r} audio must be a string, got {audio!r}"
-                    )
-                # Header-only read: samples stay lazy, but rate and duration are checked now.
-                audio_file = os.path.join(base_dir, audio)
-                try:
-                    fd = os.open(audio_file, os.O_RDONLY)
+                    record = _decode_line(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"invalid JSON: {exc}") from exc
+                if not isinstance(record, dict) or "kind" not in record:
+                    raise ValueError("record has no 'kind' field")
+                kind = record["kind"]
+                if kind == "passage":
+                    # The first missing field, in this order, names the error.
                     try:
-                        rate, n_frames, *_ = _wav_header(fd, audio_file)
-                    finally:
-                        os.close(fd)
-                except (FileNotFoundError, NotADirectoryError):
-                    raise ManifestError(
-                        f"line {lineno}: audio file not found: {Path(base_dir) / audio}"
-                    ) from None
-                except ValueError as exc:
-                    raise ManifestError(
-                        f"line {lineno}: unreadable WAV {Path(base_dir) / audio}: {exc}"
-                    ) from exc
-                if n_frames == 0:
-                    raise ManifestError(f"line {lineno}: passage {pid!r} has zero-duration audio")
-                passage = Passage(id=str(pid), transcript=str(transcript), audio_path=str(audio))
-                if passage.id in seen_ids:
-                    raise ManifestError(f"line {lineno}: duplicate passage id {passage.id!r}")
-                seen_ids.add(passage.id)
-                if sample_rate is None:
-                    sample_rate = rate
-                elif rate != sample_rate:
-                    raise ManifestError(
-                        f"line {lineno}: sample rate {rate} does not match "
-                        f"corpus rate {sample_rate}"
+                        pid, audio, transcript = record["id"], record["audio"], record["transcript"]
+                    except KeyError as exc:
+                        raise ValueError(f"passage record missing {exc.args[0]!r}") from None
+                    if not transcript:
+                        raise ValueError(f"passage {pid!r} has empty transcript")
+                    if not isinstance(audio, str):
+                        raise ValueError(f"passage {pid!r} audio must be a string, got {audio!r}")
+                    # Header-only read: samples stay lazy, but rate and duration are checked now.
+                    audio_file = os.path.join(base_dir, audio)
+                    try:
+                        fd = os.open(audio_file, os.O_RDONLY)
+                        try:
+                            rate, n_frames, *_ = _wav_header(fd, audio_file)
+                        finally:
+                            os.close(fd)
+                    except (FileNotFoundError, NotADirectoryError):
+                        raise ValueError(f"audio file not found: {Path(base_dir, audio)}") from None
+                    except ValueError as exc:
+                        raise ValueError(f"unreadable WAV {Path(base_dir, audio)}: {exc}") from exc
+                    if n_frames == 0:
+                        raise ValueError(f"passage {pid!r} has zero-duration audio")
+                    passage = Passage(id=str(pid), transcript=str(transcript), audio_path=audio)
+                    if passage.id in seen_ids:
+                        raise ValueError(f"duplicate passage id {passage.id!r}")
+                    seen_ids.add(passage.id)
+                    if sample_rate is None:
+                        sample_rate = rate
+                    elif rate != sample_rate:
+                        raise ValueError(
+                            f"sample rate {rate} does not match corpus rate {sample_rate}"
+                        )
+                    passages.append(passage)
+                elif kind == "query":
+                    try:
+                        text, answer, pid = record["text"], record["answer"], record["passage_id"]
+                    except KeyError as exc:
+                        raise ValueError(f"query record missing {exc.args[0]!r}") from None
+                    queries.append(
+                        Query(text=str(text), gold_answer=str(answer), relevant_passage_id=str(pid))
                     )
-                passages.append(passage)
-            elif kind == "query":
-                try:
-                    text, answer, pid = record["text"], record["answer"], record["passage_id"]
-                except KeyError as exc:
-                    raise ManifestError(
-                        f"line {lineno}: query record missing {exc.args[0]!r}"
-                    ) from None
-                queries.append(
-                    Query(text=str(text), gold_answer=str(answer), relevant_passage_id=str(pid))
-                )
-            else:
-                raise ManifestError(f"line {lineno}: unknown record kind {kind!r}")
-    # The loop has made every passage check of validate_corpus; only the
-    # query references remain.
-    _check_references(queries, seen_ids)
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except ValueError as exc:
+                raise ManifestError(f"line {lineno}: {exc}") from exc
     return Corpus(
         passages=tuple(passages),
         queries=tuple(queries),
@@ -403,13 +386,11 @@ def synth_corpus(params: SynthParams) -> Corpus:
         gold = retained[int(rng_query.integers(len(retained)))]
         queries.append(Query(text=" ".join(retained), gold_answer=gold, relevant_passage_id=pid))
 
-    corpus = Corpus(
+    return Corpus(
         passages=tuple(passages),
         queries=tuple(queries),
         codebook=Codebook(patterns, SYNTH_SAMPLE_RATE),
     )
-    validate_corpus(corpus)
-    return corpus
 
 
 def split(

@@ -131,6 +131,10 @@ class CorruptionConfig:
         # Written so that NaN fails: a NaN weight makes the sum NaN.
         if not (min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-9):
             raise ValueError(f"operation mix weights must be non-negative and sum to 1: {weights}")
+        if self.target_wer > 0.0 and self.ins_weight > 0.0 and not self.vocabulary:
+            raise ValueError("empty vocabulary but an insertion can be selected")
+        if self.target_wer > 0.0 and self.sub_weight > 0.0 and len(set(self.vocabulary)) < 2:
+            raise ValueError("vocabulary offers no substitute: fewer than two distinct words")
 
 
 def _text_rng(seed: int, text: str) -> np.random.Generator:
@@ -164,16 +168,11 @@ def corrupt_transcript(text: str, cfg: CorruptionConfig) -> str:
 
 
 def _random_word(rng: np.random.Generator, vocabulary) -> str:
-    if not vocabulary:
-        raise ValueError("empty vocabulary but an insertion was selected")
     return vocabulary[int(rng.integers(len(vocabulary)))]
 
 
 def _random_other_word(rng: np.random.Generator, vocabulary, word: str) -> str:
-    if not vocabulary:
-        raise ValueError("empty vocabulary but a substitution was selected")
-    if all(w == word for w in vocabulary):
-        raise ValueError(f"vocabulary offers no substitute for {word!r}")
+    # CorruptionConfig holds two distinct words, so some candidate differs.
     while True:
         candidate = vocabulary[int(rng.integers(len(vocabulary)))]
         if candidate != word:
@@ -263,9 +262,9 @@ class HttpGenerator:
         except (urllib.error.URLError, TimeoutError, UnicodeDecodeError,
                 json.JSONDecodeError) as exc:
             raise GeneratorError(f"generator call to {self.url} failed: {exc}") from exc
-        if not isinstance(payload, dict) or "answer" not in payload:
-            raise GeneratorError(f"generator response is not an object with 'answer': {payload!r}")
-        return str(payload["answer"])
+        if not isinstance(payload, dict) or not isinstance(payload.get("answer"), str):
+            raise GeneratorError(f"generator reply has no string 'answer': {payload!r}")
+        return payload["answer"]
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +278,12 @@ def normalize_answer(text: str) -> str:
 
 
 def exact_match(answer: str, gold: str) -> int:
-    """1 iff the normalized gold answer is a substring of the normalized
-    generated answer."""
+    """1 iff the normalized gold answer occurs in the normalized generated
+    answer as whole words."""
     gold_norm = normalize_answer(gold)
     if not gold_norm:
         raise ValueError(f"gold answer {gold!r} is empty after normalization")
-    return int(gold_norm in normalize_answer(answer))
+    return int(f" {gold_norm} " in f" {normalize_answer(answer)} ")
 
 
 def token_f1(answer: str, gold: str) -> float:
@@ -347,10 +346,11 @@ def passage_embeddings(
     noise_seed: int = 0,
 ) -> tuple[list[str], np.ndarray, dict[str, str]]:
     """Embed every passage under the given mode's representation. Returns
-    the passage ids and their embedding rows, both in corpus order, and the
-    context string each passage contributes to generation prompts."""
-    if not corpus.passages:
-        raise ValueError("the corpus has no passages to embed")
+    the ids of the passages with an embedding and their rows, both in corpus
+    order, and the context string every passage contributes to generation
+    prompts. A transcript the corruptor deletes entirely has no words to
+    embed: its passage is left out of the rows, so no query retrieves it."""
+    ids: list[str] = []
     rows: list[np.ndarray] = []
     contexts: dict[str, str] = {}
     for p in corpus.passages:
@@ -366,24 +366,21 @@ def passage_embeddings(
             if corruption is None:
                 raise ValueError("fully_cascaded mode requires a CorruptionConfig")
             corrupted = corrupt_transcript(p.transcript, corruption)
-            emb = model.embed_text(corrupted) if words(corrupted) else _zero_fallback(model)
             contexts[p.id] = corrupted
+            if not words(corrupted):
+                continue
+            emb = model.embed_text(corrupted)
         elif mode is PipelineMode.GT_TEXT:
             emb = model.embed_text(p.transcript)
             contexts[p.id] = p.transcript
         else:
             raise ValueError(f"unhandled mode {mode}")
+        ids.append(p.id)
         rows.append(emb)
-    return [p.id for p in corpus.passages], np.stack(rows), contexts
-
-
-def _zero_fallback(model: RetrieverModel) -> np.ndarray:
-    # A fully deleted transcript still needs an indexable vector, and an
-    # all-equal tiny one passes build(). It does not rank last by
-    # construction: build() normalises it to the unit diagonal, whose score
-    # depends on the query.
-    dim = model.backbone.hidden_dim
-    return np.full(dim, 1e-6, dtype=np.float32)
+    if not rows:
+        raise ValueError("no passages to embed: the corpus has none, or the corruptor "
+                         "deleted every transcript")
+    return ids, np.stack(rows), contexts
 
 
 def _retrieve(

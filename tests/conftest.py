@@ -50,11 +50,13 @@ def trained_model(convergence_run):
     return checkpoint.model
 
 
-# Reply bodies that are not a JSON object holding "answer", by query.
+# Reply bodies that are not a JSON object holding a string "answer", by query.
 BAD_REPLIES = {
     "list-reply": b'["answer"]',
     "string-reply": b'"the answer"',
     "non-utf8-reply": b'\xff\xfe{"answer": "1"}',
+    "null-answer-reply": b'{"answer": null}',
+    "list-answer-reply": b'{"answer": ["a"]}',
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -24,7 +25,6 @@ from speechrag.corpus import (
     save_manifest,
     split,
     synth_corpus,
-    validate_corpus,
 )
 from speechrag.dsp import AudioSignal, _walk_riff, _wav_header, read_wav, write_wav
 
@@ -145,12 +145,11 @@ def test_dangling_reference_message_equals_validate_corpus(tmp_path):
     )
     with pytest.raises(ValueError) as loaded:
         load_manifest(path)
-    corpus = Corpus(
-        passages=(Passage(id="p1", transcript="hello", audio_path=a),),
-        queries=(Query("q", "a", "p1"), Query("r", "b", "missing")),
-    )
     with pytest.raises(ValueError) as validated:
-        validate_corpus(corpus)
+        Corpus(
+            passages=(Passage(id="p1", transcript="hello", audio_path=a),),
+            queries=(Query("q", "a", "p1"), Query("r", "b", "missing")),
+        )
     assert str(loaded.value) == str(validated.value) == (
         "query 'r': dangling relevant_passage_id 'missing'"
     )
@@ -537,7 +536,6 @@ def test_zero_dropout_queries_equal_transcripts():
 def test_synth_64_passages_vocab_200_satisfies_invariants():
     params = SynthParams(n_passages=64, vocabulary_size=200, words_per_passage=(20, 40), seed=7)
     corpus = synth_corpus(params)
-    validate_corpus(corpus)
     assert len(corpus.passages) == 64
     assert len(corpus.queries) == 64
     for p in corpus.passages:
@@ -568,7 +566,6 @@ def test_synth_invariants_property(n_passages, vocabulary_size, dropout, seed):
             seed=seed,
         )
     )
-    validate_corpus(corpus)
     assert len(corpus.queries) == n_passages
     for q in corpus.queries:
         assert q.gold_answer in q.text.split()
@@ -642,18 +639,14 @@ def test_validate_corpus_checks_the_codebook():
     passages = (Passage(id="p1", transcript="ka mo"), Passage(id="p2", transcript="mo zu"))
     queries = (Query(text="ka", gold_answer="ka", relevant_passage_id="p1"),)
     with pytest.raises(ValueError, match="p2: word 'zu' is not in the codebook"):
-        validate_corpus(Corpus(passages=passages, queries=queries, codebook=codebook))
+        Corpus(passages=passages, queries=queries, codebook=codebook)
     with pytest.raises(ValueError, match="p1: no file reference and no codebook"):
-        validate_corpus(Corpus(passages=passages[:1], queries=queries))
+        Corpus(passages=passages[:1], queries=queries)
     with pytest.raises(ValueError, match="codebook sample rate 8000 does not match corpus rate"):
-        validate_corpus(Corpus(passages=passages[:1], queries=queries,
-                               codebook=Codebook(codebook.patterns, 8000)))
+        Corpus(passages=passages[:1], queries=queries, codebook=Codebook(codebook.patterns, 8000))
     corpus = Corpus(passages=passages[:1], queries=queries, codebook=codebook)
-    validate_corpus(corpus)
     assert np.array_equal(corpus.load_audio(passages[0]).samples,
                           np.concatenate([np.full(10, 0.1), np.full(10, 0.2)]))
-    with pytest.raises(ValueError, match="p1 has no file reference and the corpus no codebook"):
-        Corpus(passages=passages[:1], queries=queries).load_audio(passages[0])
 
 
 # ---------------------------------------------------------------------------
@@ -720,3 +713,40 @@ def test_split_fraction_validation():
         split(corpus, 0.0, 0.5, seed=0)
     with pytest.raises(ValueError):
         split(corpus, 1.2, 0.1, seed=0)
+
+
+_VALID = make_corpus(3)
+_P0 = _VALID.passages[0]
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"sample_rate": 8000},
+                 "codebook sample rate 16000 does not match corpus rate 8000", id="codebook-rate"),
+    pytest.param({"passages": _VALID.passages + (_P0,)}, "duplicate passage id 'p0'",
+                 id="unique-ids"),
+    pytest.param({"passages": (dataclasses.replace(_P0, transcript=""),) + _VALID.passages[1:]},
+                 "passage p0: empty transcript", id="transcript"),
+    pytest.param({"codebook": None}, "passage p0: no file reference and no codebook",
+                 id="audio-source"),
+    pytest.param({"passages": (dataclasses.replace(_P0, transcript="word0 zu"),)
+                  + _VALID.passages[1:]},
+                 "passage p0: word 'zu' is not in the codebook", id="codebook-words"),
+    pytest.param({"queries": (Query("q", "a", "p9"),)},
+                 "query 'q': dangling relevant_passage_id 'p9'", id="dangling-query"),
+])
+def test_each_corpus_rule_raises_at_construction(fields, message):
+    values = {f.name: getattr(_VALID, f.name) for f in dataclasses.fields(_VALID)}
+    with pytest.raises(ValueError) as made:
+        Corpus(**{**values, **fields})
+    with pytest.raises(ValueError) as replaced:
+        dataclasses.replace(_VALID, **fields)
+    assert str(made.value) == str(replaced.value) == message
+
+
+def test_split_of_a_valid_corpus_returns_valid_parts():
+    corpus = synth_corpus(SynthParams(n_passages=20, vocabulary_size=8, seed=3))
+    for part in split(corpus, 0.6, 0.2, seed=1):
+        # Made again from its own fields, each part passes every rule.
+        assert dataclasses.replace(part) == part
+        assert part.codebook is corpus.codebook
+        assert {q.relevant_passage_id for q in part.queries} == {p.id for p in part.passages}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speechrag.corpus import SynthParams, corpus_words, synth_corpus
+from speechrag.corpus import Passage, Query, SynthParams, corpus_words, synth_corpus
 from speechrag.ragpipe import (
     CorruptionConfig,
     GenerationRequest,
@@ -18,7 +18,6 @@ from speechrag.ragpipe import (
     OracleGenerator,
     PipelineMode,
     _levenshtein,
-    _zero_fallback,
     corpus_wer,
     corrupt_transcript,
     eval_generation,
@@ -32,7 +31,6 @@ from speechrag.ragpipe import (
 )
 from speechrag.training import build_model
 from speechrag.encoder import Vocab
-from speechrag.index import build as build_index, search
 
 from conftest import BAD_REPLIES
 
@@ -147,9 +145,23 @@ def test_corrupt_calibration_at_035():
 
 
 def test_corrupt_empty_vocabulary_rejected():
-    cfg = CorruptionConfig(target_wer=0.99, vocabulary=(), seed=0)
-    with pytest.raises(ValueError, match="vocabulary"):
-        corrupt_transcript(" ".join(["word"] * 50), cfg)
+    with pytest.raises(ValueError, match="empty vocabulary but an insertion can be selected"):
+        CorruptionConfig(target_wer=0.99, vocabulary=(), seed=0)
+
+
+@pytest.mark.parametrize("vocabulary", [("w01",), ("w01", "w01")], ids=["one-word", "one-distinct"])
+def test_corrupt_vocabulary_without_a_substitute_rejected(vocabulary):
+    with pytest.raises(ValueError, match="vocabulary offers no substitute"):
+        CorruptionConfig(target_wer=0.5, vocabulary=vocabulary, seed=0)
+    # Without substitutions, one word is enough for insertions.
+    cfg = CorruptionConfig(target_wer=0.5, vocabulary=vocabulary, sub_weight=0.0,
+                           del_weight=0.5, ins_weight=0.5, seed=0)
+    assert set(corrupt_transcript(" ".join(VOCAB), cfg).split()) <= set(VOCAB)
+
+
+def test_corrupt_zero_target_needs_no_vocabulary():
+    cfg = CorruptionConfig(target_wer=0.0, vocabulary=(), seed=0)
+    assert corrupt_transcript("w01 w02", cfg) == "w01 w02"
 
 
 def test_corrupt_empty_text_rejected():
@@ -202,6 +214,13 @@ def test_exact_match_equal_strings():
 
 def test_exact_match_normalizes_case_and_punctuation():
     assert exact_match("the ANSWER, is: forty-two!", "answer is forty two") == 1
+
+
+def test_exact_match_matches_whole_words():
+    assert exact_match("the badge", "bad") == 0
+    assert exact_match("a bad, bad day", "bad day") == 1
+    assert exact_match("forty-two", "two") == 1
+    assert exact_match("fortytwo", "two") == 0
 
 
 def test_exact_match_empty_gold_rejected():
@@ -373,18 +392,49 @@ def test_speech_and_semi_cascaded_share_rankings(pipe_corpus, pipe_model):
     assert all(ctx in transcripts for trace in semi for ctx in trace["contexts"])
 
 
+def _with_deletable_passage(seed):
+    """A 5-passage synth corpus plus passage "deleted", whose one-word
+    transcript the returned delete-only corruptor removes entirely, and a
+    query for it."""
+    base = synth_corpus(SynthParams(n_passages=5, seed=seed))
+    word = base.passages[0].transcript.split()[0]
+    corpus = dataclasses.replace(
+        base,
+        passages=base.passages + (Passage(id="deleted", transcript=word),),
+        queries=base.queries + (Query(text=word, gold_answer=word, relevant_passage_id="deleted"),),
+    )
+    configs = (CorruptionConfig(0.5, (), sub_weight=0.0, del_weight=1.0, ins_weight=0.0, seed=s)
+               for s in range(64))
+    return corpus, next(cfg for cfg in configs if not corrupt_transcript(word, cfg))
+
+
 @pytest.mark.parametrize("hidden_dim", [8, 16, 64])
 def test_fully_deleted_transcript_fallback_ranks_last(hidden_dim):
+    """A passage with no words left is not indexed: no query retrieves it,
+    even at k = N, while its empty context still counts toward the WER."""
     for seed in range(12):
-        corpus = synth_corpus(SynthParams(n_passages=5, seed=seed))
-        vocab = Vocab.from_words(corpus_words(corpus))
-        model = build_model(vocab, hidden_dim=hidden_dim, seed=seed)
-        ids, matrix, _ = passage_embeddings(corpus, PipelineMode.GT_TEXT, model)
-        idx = build_index(ids + ["deleted"], np.vstack([matrix, _zero_fallback(model)]))
-        for q in corpus.queries:
-            ranked, scores = search(idx, model.embed_text(q.text), len(idx))
-            assert ranked[-1] == "deleted"
-            assert scores[-1] < scores[-2]
+        corpus, cfg = _with_deletable_passage(seed)
+        model = build_model(Vocab.from_words(corpus_words(corpus)), hidden_dim=hidden_dim, seed=seed)
+        mode, n = PipelineMode.FULLY_CASCADED, len(corpus.passages)
+        ids, matrix, contexts = passage_embeddings(corpus, mode, model, corruption=cfg)
+        assert ids == [p.id for p in corpus.passages[:-1]] and len(matrix) == n - 1
+        assert list(contexts) == [p.id for p in corpus.passages] and contexts["deleted"] == ""
+        rows = []
+        report = retrieval_run(corpus, mode, model, k_values=(n,), corruption=cfg, sink=rows.append)
+        assert all(len(r["ranked_ids"]) == n - 1 and "deleted" not in r["ranked_ids"] for r in rows)
+        assert rows[-1]["relevant_rank"] is None
+        assert report.recalls[n] == (n - 1) / n
+        assert report.passage_wer == corpus_wer((p.transcript, contexts[p.id])
+                                                for p in corpus.passages)
+        traces = list(run_pipeline(corpus, mode, model, k=n, corruption=cfg))
+        assert all("deleted" not in t["retrieved_ids"] for t in traces)
+
+
+def test_every_transcript_deleted_is_a_named_error(pipe_model):
+    corpus, cfg = _with_deletable_passage(0)
+    only = dataclasses.replace(corpus, passages=corpus.passages[-1:], queries=corpus.queries[-1:])
+    with pytest.raises(ValueError, match="the corruptor deleted every transcript"):
+        passage_embeddings(only, PipelineMode.FULLY_CASCADED, pipe_model, corruption=cfg)
 
 
 def test_fully_cascaded_requires_corruption(pipe_corpus, pipe_model):
