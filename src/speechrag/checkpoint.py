@@ -14,11 +14,12 @@ bit-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import files
+from .config import _as_declared, _type_hints
 from .dsp import FeatureConfig
 from .encoder import RetrieverModel, Vocab, backbone_checksum, make_backbone
 from .training import Checkpoint, TrainConfig, params_from_tensors, trainable_tensors
@@ -55,6 +56,25 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     files.write(path, MAGIC, fields())
 
 
+def _declared(value, hint, name: str):
+    """`value` as a value of the type `hint`, by the config's rules; raises
+    ValueError naming the metadata key `name` when it does not fit."""
+    try:
+        return _as_declared(value, hint)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name} must be {hint.__name__}, got {value!r}") from None
+
+
+def _dataclass(cls, data, name: str):
+    """`cls` from the metadata object `name`, which holds exactly cls's
+    fields, each of its declared type."""
+    names = sorted(f.name for f in fields(cls))
+    if not isinstance(data, dict) or sorted(data) != names:
+        raise ValueError(f"{name} must be an object of exactly the keys {names}, got {data!r}")
+    hints = _type_hints(cls)
+    return cls(**{key: _declared(data[key], hints[key], f"{name}.{key}") for key in names})
+
+
 def load_checkpoint(path) -> Checkpoint:
     with files.read(path, MAGIC) as src:
         (meta_json,) = src.strings(1, "metadata")
@@ -79,9 +99,10 @@ def load_checkpoint(path) -> Checkpoint:
         if backbone_checksum(backbone) != bb["checksum"]:
             raise ValueError(f"backbone checksum mismatch: seed {bb['seed']} regenerates "
                              "another backbone than the saved model's")
-        feature_config = FeatureConfig(**meta["feature"])
-        train_config = TrainConfig(**meta["train_config"])
-        best_val_loss, epoch = meta["best_val_loss"], meta["epoch"]
+        feature_config = _dataclass(FeatureConfig, meta["feature"], "feature")
+        train_config = _dataclass(TrainConfig, meta["train_config"], "train_config")
+        best_val_loss = _declared(meta["best_val_loss"], float, "best_val_loss")
+        epoch = _declared(meta["epoch"], int, "epoch")
         n_encoder_layers, downsample_factor = meta["encoder_layers"], meta["downsample_factor"]
         fault = "tensors"
         speech, adapter = params_from_tensors(tensors, n_encoder_layers, downsample_factor)

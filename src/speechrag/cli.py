@@ -8,7 +8,8 @@ whose argparse dest is a RunConfig field overrides that field over the file.
 Every run writes a metadata record (resolved config with those overrides,
 config hash, seed, versions), so reports are reproducible byte-for-byte from
 it. The other flags (--mode, --query, search's --k, --snr-db, --probes and
---eps) are per-invocation inputs, not config, and are not recorded.
+--eps) are per-invocation inputs, not config; of these, only --snr-db is
+recorded, and only when given.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -99,6 +100,22 @@ def _snr_db(value: str) -> float:
     return snr
 
 
+def _at_least_one(value: str) -> int:
+    """A count of one or more: search's --k and gradcheck's --probes."""
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value!r}")
+    return count
+
+
+def _step(value: str) -> float:
+    """gradcheck's finite-difference step: nonzero and finite, of either sign."""
+    eps = float(value)
+    if eps == 0 or not math.isfinite(eps):
+        raise argparse.ArgumentTypeError(f"step must be nonzero and finite, got {value!r}")
+    return eps
+
+
 def float_list(value: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in value.split(","))
 
@@ -107,8 +124,9 @@ def int_list(value: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in value.split(","))
 
 
-def _write_meta(config: RunConfig, command: str) -> None:
+def _write_meta(config: RunConfig, args) -> None:
     resolved = config.resolved()
+    command = args.command
     meta = {
         "command": command,
         "config": resolved,
@@ -120,6 +138,11 @@ def _write_meta(config: RunConfig, command: str) -> None:
             "numpy": np.__version__,
         },
     }
+    # Only when given, so a command run without it keeps its bytes; inf as
+    # "inf", which strict JSON readers accept where they refuse Infinity.
+    snr_db = getattr(args, "snr_db", None)
+    if snr_db is not None:
+        meta["snr_db"] = snr_db if math.isfinite(snr_db) else str(snr_db)
     out = config.path(config.report_dir) / f"{command}.meta.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -425,7 +448,7 @@ FLAGS = {
     "embed": (*_COMMON, _MODE, _MANIFEST, _TARGET_WER, _SNR_DB),
     "index": (*_COMMON, _MODE),
     "search": (*_COMMON, _MODE, _MANIFEST, ("--query", dict(required=True)),
-               ("--k", dict(type=int, default=5))),
+               ("--k", dict(type=_at_least_one, default=5))),
     "eval-retrieval": (*_COMMON, _MODES, _MANIFEST, _TARGET_WER, _SNR_DB,
                        ("--k", dict(dest="k_values", type=int_list,
                                     help="comma list of recall cutoffs (overrides k_values)"))),
@@ -440,8 +463,9 @@ FLAGS = {
         ("--generator-url", dict(dest="generator_url",
                                  help="generator and judge endpoint (overrides generator_url)"))),
     "gradcheck": (*_COMMON,
-                  ("--probes", dict(type=int, default=5, help="random scalar probes per tensor")),
-                  ("--eps", dict(type=float, default=1e-4, help="central-difference step"))),
+                  ("--probes", dict(type=_at_least_one, default=5,
+                                    help="random scalar probes per tensor")),
+                  ("--eps", dict(type=_step, default=1e-4, help="central-difference step"))),
 }
 
 
@@ -504,7 +528,7 @@ def main(argv=None) -> int:
         overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
         config = load_config(args.config, overrides)
         code = COMMANDS[args.command](config, args)
-        _write_meta(config, args.command)
+        _write_meta(config, args)
         return code
     except (ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,9 +17,9 @@ import numpy as np
 PCM_SCALE = 32768.0
 _WAV_HEAD_BYTES = 256  # one read covers write_wav's header and a few small chunks
 _WAVE_FORMAT_PCM = 0x0001
-# write_wav's 44-byte layout: RIFF, size, WAVE, a 16-byte fmt chunk (byte
-# rate and block align skipped), then the data chunk's id and size.
-_PCM_HEADER = struct.Struct("<4sI8sIHHI6xH4sI")
+# write_wav's 44-byte header: RIFF, size, WAVE, a 16-byte fmt chunk (tag,
+# channels, rate, byte rate, block align, bits), then the data chunk's id and size.
+_PCM_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,11 @@ def _wav_header(fd: int, path) -> tuple[int, int, int, int, int]:
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     if len(head) >= _PCM_HEADER.size:
-        riff, riff_size, wave_fmt, fmt_size, tag, channels, rate, bits, data, size = (
+        riff, riff_size, wave, fmt, fmt_size, tag, channels, rate, _, _, bits, data, size = (
             _PCM_HEADER.unpack_from(head)
         )
         # The walk would check the same fields and reach `data` at byte 36.
-        if (riff == b"RIFF" and wave_fmt == b"WAVEfmt " and fmt_size == 16 and data == b"data"
+        if ((riff, wave, fmt, fmt_size, data) == (b"RIFF", b"WAVE", b"fmt ", 16, b"data")
                 and riff_size >= 36 and tag == _WAVE_FORMAT_PCM and channels and bits):
             sample_width = (bits + 7) // 8
             return rate, size // (channels * sample_width), channels, sample_width, _PCM_HEADER.size
@@ -171,8 +171,8 @@ def write_wav(path, signal: AudioSignal) -> None:
     data = scaled.astype("<i2")
     rate = signal.sample_rate
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE", b"fmt ", 16,
-                             _WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16, b"data", data.nbytes))
+        fh.write(_PCM_HEADER.pack(b"RIFF", 36 + data.nbytes, b"WAVE", b"fmt ", 16, _WAVE_FORMAT_PCM,
+                                  1, rate, 2 * rate, 2, 16, b"data", data.nbytes))
         fh.write(data)
 
 

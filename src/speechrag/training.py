@@ -431,10 +431,15 @@ def grad_check(
 ) -> float:
     """Compare analytic gradients against central finite differences on
     `probe_count` randomly chosen scalar parameters per trainable tensor.
-    Returns the maximum relative error. The model must be double precision;
-    probes perturb copies of its trainable tensors, never the model's own."""
+    Returns the maximum relative error, NaN if any probe's is NaN. The model
+    must be double precision; probes perturb copies of its trainable tensors,
+    never the model's own."""
     if model.dtype != np.float64:
         raise ValueError(f"grad_check needs a float64 model, got {model.dtype}")
+    if probe_count < 1:
+        raise ValueError(f"probe_count must be at least 1, got {probe_count}")
+    if eps == 0 or not math.isfinite(eps):
+        raise ValueError(f"eps must be nonzero and finite, got {eps}")
     tensors = {k: v.copy() for k, v in trainable_tensors(model.speech, model.adapter).items()}
     speech, adapter = params_from_tensors(
         tensors, len(model.speech.layers), model.adapter.downsample_factor
@@ -442,7 +447,7 @@ def grad_check(
     _, analytic = loss_and_grads(items, speech, adapter, model.backbone)
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for name, theta in tensors.items():
         # `speech` and `adapter` hold these arrays, so edits through `flat`
         # reach the forward pass directly.
@@ -458,6 +463,6 @@ def grad_check(
             numeric = (loss_plus - loss_minus) / (2.0 * eps)
             a = float(analytic[name].reshape(-1)[idx])
             denom = max(abs(a), abs(numeric))
-            err = abs(a - numeric) if denom < 1e-8 else abs(a - numeric) / denom
-            worst = max(worst, err)
-    return worst
+            errors.append(abs(a - numeric) if denom < 1e-8 else abs(a - numeric) / denom)
+    # np.max, not max: max(0.0, nan) is 0.0, so a NaN error would pass.
+    return float(np.max(errors))

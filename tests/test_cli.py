@@ -173,6 +173,28 @@ def test_embed_noise_follows_the_run_seed(workspace):
     assert embed("--seed", "7") == embed("--seed", "8")  # no noise, nothing seeded
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, snr_db",
+    [(("embed", "--snr-db", "10"), 10.0), (("eval-retrieval", "--snr-db", "-5"), -5.0),
+     (("eval-retrieval", "--snr-db", "inf"), "inf"), (("embed",), None),
+     (("eval-retrieval",), None)],
+    ids=["embed_10", "eval_retrieval_minus_5", "eval_retrieval_inf", "embed_none",
+         "eval_retrieval_none"],
+)
+def test_snr_db_is_recorded_only_when_given(workspace, argv, snr_db):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    assert run(*argv, "--config", config, "--mode", "gt_text") == 0
+    text = (root / f"reports/{argv[0]}.meta.json").read_text()
+    meta = json.loads(text, parse_constant=_reject_constant)
+    assert meta.get("snr_db") == snr_db
+    assert ("snr_db" in meta) == (snr_db is not None)
+
+
 @pytest.mark.parametrize("snr", ["20", "-5"])
 def test_eval_retrieval_noise_equals_the_noise_sweep_row(workspace, snr):
     root, config = workspace
@@ -333,8 +355,18 @@ def write_checkpoint_with_metadata(path, edit) -> None:
 @pytest.mark.parametrize(
     "edit",
     [lambda m: m["feature"].update(bogus=1), lambda m: m.update(vocab=5),
-     lambda m: m["backbone"].update(hidden_dim="64"), lambda m: m.pop("epoch")],
-    ids=["extra_feature_key", "vocab_not_a_list", "backbone_dim_string", "missing_epoch"],
+     lambda m: m["backbone"].update(hidden_dim="64"), lambda m: m.pop("epoch"),
+     lambda m: m["feature"].update(frame_len=True), lambda m: m.update(train_config={}),
+     lambda m: m["feature"].pop("hop"), lambda m: m.update(feature=[0.025]),
+     lambda m: m["train_config"].update(lr="0.1"), lambda m: m["train_config"].update(seed=1.5),
+     lambda m: m["feature"].update(n_mels=40.0),
+     lambda m: m["feature"].update(log_floor=10**400),
+     lambda m: m.update(best_val_loss="0.5"), lambda m: m.update(best_val_loss=None),
+     lambda m: m.update(epoch=1.0), lambda m: m.update(epoch=True)],
+    ids=["extra_feature_key", "vocab_not_a_list", "backbone_dim_string", "missing_epoch",
+         "frame_len_bool", "train_config_empty", "missing_feature_key", "feature_not_an_object",
+         "lr_string", "train_seed_float", "n_mels_float", "log_floor_overflows_a_float",
+         "best_val_loss_string", "best_val_loss_null", "epoch_float", "epoch_bool"],
 )
 def test_checkpoint_metadata_of_wrong_shape_is_exit_two(workspace, capsys, edit):
     root, config = workspace
@@ -746,9 +778,18 @@ BOGUS = "error: argument --mode: unknown mode 'bogus'"
      (("search", "--mode", "bogus", "--query", "q"), BOGUS),
      (("eval-generation", "--mode", "bogus"), BOGUS),
      (("search", "--query", "q", "--target-wer", "0.3"),
-      "error: unrecognized arguments: --target-wer 0.3")],
+      "error: unrecognized arguments: --target-wer 0.3"),
+     (("search", "--query", "q", "--k", "0"), "error: argument --k: must be at least 1, got '0'"),
+     (("gradcheck", "--probes", "0"), "error: argument --probes: must be at least 1, got '0'"),
+     (("gradcheck", "--probes", "-2"), "error: argument --probes: must be at least 1, got '-2'"),
+     (("gradcheck", "--eps", "0"), "error: argument --eps: step must be nonzero and finite"),
+     (("gradcheck", "--eps", "-0.0"), "error: argument --eps: step must be nonzero and finite"),
+     (("gradcheck", "--eps", "nan"), "error: argument --eps: step must be nonzero and finite"),
+     (("gradcheck", "--eps", "inf"), "error: argument --eps: step must be nonzero and finite"),
+     (("gradcheck", "--eps", "-inf"), "error: argument --eps: step must be nonzero and finite")],
     ids=["unknown_in_list", "repeated", "empty_in_list", "embed", "index", "search",
-         "eval_generation", "search_target_wer"],
+         "eval_generation", "search_target_wer", "search_k_0", "probes_0", "probes_negative",
+         "eps_0", "eps_negative_0", "eps_nan", "eps_inf", "eps_negative_inf"],
 )
 def test_rejected_mode_or_flag_is_usage_error(workspace, capsys, argv, message):
     root, config = workspace

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechrag.corpus import (
+    RECORD_FIELDS,
     Codebook,
     Corpus,
     ManifestError,
@@ -26,7 +27,7 @@ from speechrag.corpus import (
     split,
     synth_corpus,
 )
-from speechrag.dsp import AudioSignal, _walk_riff, _wav_header, read_wav, write_wav
+from speechrag.dsp import _PCM_HEADER, AudioSignal, _walk_riff, _wav_header, read_wav, write_wav
 
 from oracles import corpus_equal, eager_synth_audio, write_wav_with_wave_module
 
@@ -273,8 +274,13 @@ def header_or_error(read_header):
 
 def test_pcm_fields_spell_write_wav_header(tmp_path):
     write_wav(tmp_path / "a.wav", AudioSignal(np.zeros(100), SR))
+    write_wav_with_wave_module(tmp_path / "b.wav", np.zeros(100), SR)
     defaults = [default for _, _, default, _ in PCM_FIELDS]
-    assert (tmp_path / "a.wav").read_bytes()[:44] == struct.pack(PCM_FORMAT, *defaults)
+    header = struct.pack(PCM_FORMAT, *defaults)
+    assert _PCM_HEADER.size == 44
+    assert _PCM_HEADER.pack(*defaults) == header
+    assert (tmp_path / "a.wav").read_bytes()[:44] == header
+    assert (tmp_path / "b.wav").read_bytes()[:44] == header
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,7 +386,7 @@ def test_manifest_of_wav_variants_loads_to_the_expected_corpus(tmp_path):
             {"kind": "passage", "id": name, "audio": f"audio/{name}.wav", "transcript": name}
         )
     for rate, records in by_rate.items():
-        records = records + [{"kind": "query", "text": "q", "answer": 7, "passage_id": records[0]["id"]}]
+        records = records + [{"kind": "query", "text": "q", "answer": "7", "passage_id": records[0]["id"]}]
         path = write_manifest(tmp_path, records)
         expected = Corpus(
             passages=tuple(
@@ -392,6 +398,29 @@ def test_manifest_of_wav_variants_loads_to_the_expected_corpus(tmp_path):
             base_dir=str(tmp_path),
         )
         assert load_manifest(path) == expected
+
+
+GOOD_RECORDS = {
+    "passage": {"kind": "passage", "id": "p2", "audio": "audio/a.wav", "transcript": "x"},
+    "query": {"kind": "query", "text": "t", "answer": "a", "passage_id": "p1"},
+}
+# What names a record whose field is not a string: the field alone when it
+# is the record's first, and otherwise the record by its first field too.
+NON_STRING_NAMES = {
+    ("passage", "id"): "passage id",
+    ("passage", "audio"): "passage 'p2' audio",
+    ("passage", "transcript"): "passage 'p2' transcript",
+    ("query", "text"): "query text",
+    ("query", "answer"): "query 't' answer",
+    ("query", "passage_id"): "query 't' passage_id",
+}
+NON_STRING_FIELDS = [
+    ({**GOOD_RECORDS[kind], field: value},
+     f"line 2: {NON_STRING_NAMES[kind, field]} must be a string, got {value!r}")
+    for kind, names in RECORD_FIELDS.items()
+    for field in names
+    for value in (None, 7, 1.5, ["a"], {"a": "b"})
+]
 
 
 @pytest.mark.parametrize(
@@ -414,6 +443,14 @@ def test_manifest_of_wav_variants_loads_to_the_expected_corpus(tmp_path):
         ({"kind": "query", "text": "t", "answer": "a"}, "line 2: query record missing 'passage_id'"),
         ({"kind": "other"}, "line 2: unknown record kind 'other'"),
         ([1, 2], "line 2: record has no 'kind' field"),
+        # An unhashable kind is no kind either.
+        ({"kind": ["passage"]}, "line 2: unknown record kind ['passage']"),
+        # The first field that is not a string names the error.
+        ({"kind": "passage", "id": None, "audio": 5, "transcript": ["hello", "world"]},
+         "line 2: passage id must be a string, got None"),
+        ({"kind": "query", "text": "t", "answer": 7, "passage_id": None},
+         "line 2: query 't' answer must be a string, got 7"),
+        *NON_STRING_FIELDS,
     ],
 )
 def test_record_errors_name_line_and_field(tmp_path, record, message):
@@ -498,6 +535,45 @@ def test_sample_rate_mismatch_rejected(tmp_path):
     )
     with pytest.raises(ManifestError, match="sample rate"):
         load_manifest(path)
+
+
+# Every field's characters: non-ASCII, quotes, backslashes, and characters
+# that JSON escapes. A passage id also names its WAV file, so it holds no
+# "/" and no control character.
+ID_TEXT = st.text(alphabet="ab \"'\\é漢😀\u2028", min_size=1, max_size=6)
+FIELD_TEXT = st.text(alphabet="ab \"'\\/é漢😀\u2028\n\r\t\x00\x1f", min_size=1, max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    passages=st.lists(st.tuples(ID_TEXT, FIELD_TEXT), min_size=1, max_size=3,
+                      unique_by=lambda p: p[0]),
+    queries=st.lists(st.tuples(FIELD_TEXT, FIELD_TEXT, st.integers(0, 2)), max_size=3),
+)
+def test_manifest_text_round_trips_through_save_and_load(passages, queries):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = os.path.join(tmp, "source.wav")
+        write_wav(source, AudioSignal(0.1 * np.ones(400), SR))
+        corpus = Corpus(
+            passages=tuple(Passage(pid, transcript, source) for pid, transcript in passages),
+            queries=tuple(Query(text, answer, passages[i % len(passages)][0])
+                          for text, answer, i in queries),
+            sample_rate=SR,
+        )
+        manifest = os.path.join(tmp, "out", "manifest.jsonl")
+        save_manifest(corpus, manifest)
+        loaded = load_manifest(manifest)
+        assert [(p.id, p.transcript) for p in loaded.passages] == passages
+        assert [p.audio_path for p in loaded.passages] == [f"audio/{pid}.wav" for pid, _ in passages]
+        assert loaded.queries == corpus.queries
+        with open(manifest, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        assert [list(r) for r in records] == [
+            ["kind", *RECORD_FIELDS[r["kind"]]] for r in records]
+        # Saved where it was loaded from, the corpus keeps its bytes.
+        before = open(manifest, "rb").read()
+        save_manifest(loaded, manifest)
+        assert open(manifest, "rb").read() == before
 
 
 def test_manifest_roundtrip_equals_original(tmp_path):

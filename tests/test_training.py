@@ -181,6 +181,42 @@ def test_gradcheck_rejects_single_precision_model(small_corpus):
         grad_check(model, items)
 
 
+@pytest.mark.parametrize(
+    "probe_count, eps, message",
+    [(0, 1e-4, "probe_count must be at least 1"), (-1, 1e-4, "probe_count must be at least 1"),
+     (5, 0.0, "eps must be nonzero and finite"), (5, math.nan, "eps must be nonzero and finite"),
+     (5, math.inf, "eps must be nonzero and finite"),
+     (5, -math.inf, "eps must be nonzero and finite")],
+)
+def test_gradcheck_rejects_a_probe_count_or_step_that_checks_nothing(
+    small_corpus, small_model, probe_count, eps, message
+):
+    items = make_items(small_corpus, small_model)
+    with pytest.raises(ValueError, match=message):
+        grad_check(small_model, items, probe_count=probe_count, eps=eps)
+
+
+def test_gradcheck_takes_a_negative_step(small_corpus, small_model):
+    items = make_items(small_corpus, small_model)
+    assert grad_check(small_model, items, probe_count=2, eps=-1e-4, seed=0) <= 1e-4
+
+
+def test_gradcheck_nan_error_is_the_result(small_corpus, small_model, monkeypatch):
+    """One probe whose loss is NaN makes the result NaN, which no threshold
+    passes; a running max(worst, err) would have dropped it."""
+    items = make_items(small_corpus, small_model)
+    real = training.loss_and_grads
+    calls = []
+
+    def one_nan_loss(*args):
+        calls.append(None)
+        loss, grads = real(*args)
+        return (math.nan if len(calls) == 4 else loss), grads
+
+    monkeypatch.setattr(training, "loss_and_grads", one_nan_loss)
+    assert math.isnan(grad_check(small_model, items, probe_count=3, eps=1e-4, seed=0))
+
+
 def test_gradcheck_leaves_callers_tensors_untouched(small_corpus):
     vocab = Vocab.from_words(corpus_words(small_corpus))
     model = build_model(vocab, hidden_dim=16, encoder_dim=16, seed=3, dtype=np.float64, proj_std=0.1)
