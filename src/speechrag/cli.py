@@ -144,13 +144,12 @@ def _write_meta(config: RunConfig, args) -> None:
     if snr_db is not None:
         meta["snr_db"] = snr_db if math.isfinite(snr_db) else str(snr_db)
     out = config.path(config.report_dir) / f"{command}.meta.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with files.replacing(out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with files.replacing(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -101,13 +101,23 @@ class RunConfig:
         return Path(self.data_dir) / template.format(**fmt)
 
     def resolved(self) -> dict:
-        return asdict(self)
+        """The config as JSON values, each non-finite float as its string
+        ("inf"): strict JSON readers refuse Infinity."""
+        return asdict(self, dict_factory=_strict_json)
+
+
+def _strict_json(pairs) -> dict:
+    def value(v):
+        if isinstance(v, tuple):
+            return tuple(map(value, v))
+        return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+    return {k: value(v) for k, v in pairs}
 
 
 def resolved_hash(resolved: dict) -> str:
     """sha256 of a resolved config's canonical JSON: the metadata record's
     `config_hash`."""
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -141,21 +151,24 @@ def _as_declared(value, hint):
     return value
 
 
-def _build_section(cls, data, seed: int, section: str):
-    """Build `cls` from a JSON object over its defaults. Nested dataclass
-    fields are sections of their own, and a section with a seed field takes
-    `seed` unless it sets its own."""
+def read_section(cls, data, section: str, seed: int | None = None, exact: bool = False):
+    """Build the dataclass `cls` from a JSON object, each value of its
+    field's declared type; `section` names the object in errors. Nested
+    dataclass fields are sections of their own. With `exact`, every field at
+    every level must be given; otherwise an unset field takes its default,
+    and a section with a seed field takes `seed` unless it sets its own."""
     if not isinstance(data, dict):
         raise ValueError(f"config section {section} must be a JSON object")
     hints = _type_hints(cls)
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
-    if unknown:
+    names = [f.name for f in fields(cls)]
+    if unknown := set(data) - set(names):
         raise ValueError(f"unknown {section} fields: {sorted(unknown)}")
+    if exact and (missing := [name for name in names if name not in data]):
+        raise ValueError(f"missing {section} fields: {missing}")
     values = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     if "seed" in names:
         values.setdefault("seed", seed)
-    sections = [f.name for f in fields(cls) if is_dataclass(hints[f.name])]
+    sections = [name for name in names if is_dataclass(hints[name])]
     for name, value in values.items():
         if name in sections:
             continue
@@ -166,9 +179,8 @@ def _build_section(cls, data, seed: int, section: str):
             type_name = hint.__name__ if typing.get_origin(hint) is None else str(hint)
             raise ValueError(f"{section}.{name} must be {type_name}, got {value!r}") from None
     for name in sections:
-        values[name] = _build_section(
-            hints[name], values.get(name, {}), values.get("seed", seed), f"{section}.{name}"
-        )
+        values[name] = read_section(hints[name], values.get(name, {}), f"{section}.{name}",
+                                    values.get("seed", seed), exact)
     return cls(**values)
 
 
@@ -185,4 +197,4 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     data.update(overrides)
     if "data_dir" not in data and os.environ.get(ENV_DATA_DIR):
         data["data_dir"] = os.environ[ENV_DATA_DIR]
-    return _build_section(RunConfig, data, RunConfig.seed, "config")
+    return read_section(RunConfig, data, "config", RunConfig.seed)

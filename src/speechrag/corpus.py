@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .dsp import AudioSignal, _wav_header, read_wav, write_wav
 from .encoder import words as split_words
 
@@ -263,7 +264,6 @@ def save_manifest(corpus: Corpus, path) -> None:
     `<dir>/audio/` and dropped, one passage at a time.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     records: list[tuple[str, tuple[str, str, str]]] = []
     for p in corpus.passages:
         if p.audio_path is not None and corpus.base_dir == str(path.parent):
@@ -274,9 +274,10 @@ def save_manifest(corpus: Corpus, path) -> None:
             write_wav(path.parent / rel, corpus.load_audio(p))
         records.append(("passage", (p.id, rel, p.transcript)))
     records += [("query", (q.text, q.gold_answer, q.relevant_passage_id)) for q in corpus.queries]
-    path.write_text("".join(
-        json.dumps({"kind": kind, **dict(zip(RECORD_FIELDS[kind], fields))}, ensure_ascii=False) + "\n"
-        for kind, fields in records), encoding="utf-8")
+    with files.replacing(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(
+            json.dumps({"kind": kind, **dict(zip(RECORD_FIELDS[kind], fields))}, ensure_ascii=False)
+            + "\n" for kind, fields in records))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The binary container of checkpoints, indexes and embeddings: 8-byte magic |
 version u32 | fields, each a little-endian u32 or u64, a UTF-8 string after
 its u32 byte length, or f32 data. A read consumes the file exactly; a write
-replaces its target only once the whole file is written, as the CLI's JSONL
-reports do through the same `replacing`."""
+replaces its target only once the whole file is written, as the CLI's
+reports and metadata records and the corpus manifests do through the same
+`replacing`."""
 
 from __future__ import annotations
 
@@ -29,15 +30,16 @@ def f32(arr) -> bytes:
 
 
 @contextmanager
-def replacing(path):
-    """Yield a binary file open on a temp file beside `path`, unique to the
-    process, and rename it over `path` when the block ends; a block that
-    raises deletes it, and `path` keeps its previous content."""
+def replacing(path, mode: str = "wb", **open_args):
+    """Yield a file open (by `mode` and `open_args`) on a temp file beside
+    `path`, unique to the process, and rename it over `path` when the block
+    ends; a block that raises deletes it, and `path` keeps its previous
+    content."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("wb") as fh:
+        with tmp.open(mode, **open_args) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -343,8 +343,9 @@ def train(
     takes their mean over the window's micro-batches (a shorter last window
     is averaged over the micro-batches it holds). Validation loss is taken
     after every epoch, and training stops once it has not improved for
-    `patience` epochs. One row per epoch goes to `sink`; the last row's
-    `stop_reason` says why training stopped, "patience" or "max_epochs".
+    `patience` epochs. One row per epoch goes to `sink`, with the epoch's
+    number of Adam steps (`adam_steps`); the last row's `stop_reason` says
+    why training stopped, "patience" or "max_epochs".
     The model's arrays are never written: every Adam step makes new ones.
     """
     if not train_corpus.passages or not val_corpus.passages:
@@ -365,7 +366,8 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_items))
         epoch_loss = 0.0
-        for first in range(0, len(order), window):
+        windows = range(0, len(order), window)  # one Adam step each
+        for first in windows:
             starts = range(first, min(first + window, len(order)), config.batch_size)
             total = None
             for start in starts:
@@ -391,6 +393,7 @@ def train(
             "epoch": epoch,
             "train_loss": epoch_loss / len(order),
             "val_loss": val_loss,
+            "adam_steps": len(windows),
             "elapsed_s": time.monotonic() - started,
         }
         should_stop = stopper.update(epoch, val_loss)

@@ -229,6 +229,7 @@ def reference_train(train_corpus, val_corpus, config, model):
         order = rng.permutation(len(train_items))
         acc_grads = None
         acc_count = 0
+        adam_steps = 0
         epoch_loss = 0.0
         n_seen = 0
         for start in range(0, len(order), config.batch_size):
@@ -246,11 +247,13 @@ def reference_train(train_corpus, val_corpus, config, model):
             if acc_count == config.grad_accum_steps or is_last:
                 mean_grads = {name: g / acc_count for name, g in acc_grads.items()}
                 tensors, state = training.adam_step(tensors, mean_grads, state, config)
+                adam_steps += 1
                 speech, adapter = training.params_from_tensors(tensors, n_enc, factor)
                 acc_grads = None
                 acc_count = 0
         val_loss = training.evaluate_loss(val_items, speech, adapter, model.backbone)
-        row = {"epoch": epoch, "train_loss": epoch_loss / n_seen, "val_loss": val_loss}
+        row = {"epoch": epoch, "train_loss": epoch_loss / n_seen, "val_loss": val_loss,
+               "adam_steps": adam_steps}
         should_stop = stopper.update(epoch, val_loss)
         if stopper.best_epoch == epoch:
             best_tensors = {k: v.copy() for k, v in tensors.items()}

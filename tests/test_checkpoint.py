@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from speechrag import checkpoint as checkpoint_module
 from speechrag import files
 from speechrag.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from speechrag.config import read_section
 from speechrag.corpus import SynthParams, corpus_words, split, synth_corpus
 from speechrag.dsp import FeatureConfig
 from speechrag.encoder import RetrieverModel, SpeechEncoderParams, Vocab, backbone_checksum
@@ -67,6 +69,53 @@ def test_double_save_byte_identical(checkpoint, tmp_path):
     save_checkpoint(checkpoint, tmp_path / "a.ckpt")
     save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def written_before_the_record_was_declared(checkpoint: Checkpoint) -> bytes:
+    """The bytes the save wrote when it spelled its metadata as a dict literal."""
+    model = checkpoint.model
+    meta = {
+        "vocab": list(model.vocab.tokens),
+        "backbone": {
+            "seed": model.backbone.seed,
+            "hidden_dim": model.backbone.hidden_dim,
+            "n_layers": len(model.backbone.layers),
+            "checksum": backbone_checksum(model.backbone),
+        },
+        "encoder_layers": len(model.speech.layers),
+        "downsample_factor": model.adapter.downsample_factor,
+        "feature": asdict(model.feature_config),
+        "train_config": asdict(checkpoint.train_config),
+        "best_val_loss": checkpoint.best_val_loss,
+        "epoch": checkpoint.epoch,
+    }
+    tensors = trainable_tensors(model.speech, model.adapter)
+    out = [MAGIC, files.u32(files.VERSION),
+           files.string(json.dumps(meta, sort_keys=True, separators=(",", ":"))),
+           files.u32(len(tensors))]
+    for name, arr in sorted(tensors.items()):
+        out += [files.string(name), files.u32(arr.ndim), *map(files.u64, arr.shape), files.f32(arr)]
+    return b"".join(out)
+
+
+def test_saved_bytes_equal_the_dict_literal_layout(checkpoint, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, path)
+    assert path.read_bytes() == written_before_the_record_was_declared(checkpoint)
+
+
+def test_metadata_record_round_trips(checkpoint, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, path)
+    data = path.read_bytes()
+    stored = json.loads(data[16 : 16 + int.from_bytes(data[12:16], "little")])
+    meta = read_section(checkpoint_module._Meta, stored, "meta", exact=True)
+    assert json.loads(json.dumps(asdict(meta))) == stored
+    assert meta.vocab == checkpoint.model.vocab.tokens
+    assert meta.backbone.checksum == backbone_checksum(checkpoint.model.backbone)
+    assert (meta.feature, meta.train_config) == (
+        checkpoint.model.feature_config, checkpoint.train_config)
+    assert (meta.best_val_loss, meta.epoch) == (checkpoint.best_val_loss, checkpoint.epoch)
 
 
 def test_bad_magic_rejected(checkpoint, tmp_path):

@@ -64,7 +64,9 @@ def test_synth_split_train_flow(workspace, capsys):
     log_lines = (root / "artifacts/train_log.jsonl").read_text().splitlines()
     assert len(log_lines) == 2
     row = json.loads(log_lines[0])
-    assert set(row) == {"epoch", "train_loss", "val_loss", "elapsed_s"}
+    assert set(row) == {"epoch", "train_loss", "val_loss", "adam_steps", "elapsed_s"}
+    # 6 training items fill one window of the default 4 x 16 items: one step an epoch.
+    assert row["adam_steps"] == 1
     assert json.loads(log_lines[1])["stop_reason"] == "max_epochs"
 
 
@@ -175,6 +177,30 @@ def test_embed_noise_follows_the_run_seed(workspace):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
+
+
+def test_noise_sweep_over_inf_writes_strict_json(workspace):
+    root, config = workspace
+    for cmd in ("synth", "split", "train"):
+        assert run(cmd, "--config", config) == 0
+    assert run("noise-sweep", "--config", config, "--snr", "inf,5") == 0
+    text = (root / "reports/noise-sweep.meta.json").read_text()
+    meta = json.loads(text, parse_constant=_reject_constant)
+    assert meta["config"]["snr_grid"] == ["inf", 5.0]
+    assert meta["config_hash"] == resolved_hash(meta["config"])
+    lines = (root / "reports/noise_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["inf", "speech_rag"], ["inf", "fully_cascaded"],
+        ["5.0", "speech_rag"], ["5.0", "fully_cascaded"]]
+
+
+def test_finite_config_hash_is_unchanged(monkeypatch):
+    """A finite config resolves to the same JSON, and hash, as it always has."""
+    monkeypatch.delenv("SPEECHRAG_DATA_DIR", raising=False)
+    assert resolved_hash(load_config(None).resolved()) == (
+        "dfdb689d57e971c2c5cdac50e15ad946a50c6e148ca5a91e1cbf6584b2659550")
+    assert resolved_hash(load_config(None, {"snr_grid": (5, 10.0), "target_wer": 0.2}).resolved()) == (
+        "636dec6376c76a92cbeae7052dd88b7ca651b32b66b4b3cffb818bacad6a85ad")
 
 
 @pytest.mark.parametrize(
@@ -362,11 +388,15 @@ def write_checkpoint_with_metadata(path, edit) -> None:
      lambda m: m["feature"].update(n_mels=40.0),
      lambda m: m["feature"].update(log_floor=10**400),
      lambda m: m.update(best_val_loss="0.5"), lambda m: m.update(best_val_loss=None),
-     lambda m: m.update(epoch=1.0), lambda m: m.update(epoch=True)],
+     lambda m: m.update(epoch=1.0), lambda m: m.update(epoch=True),
+     lambda m: m.update(downsample_factor=True), lambda m: m.update(encoder_layers=2.0),
+     lambda m: m["vocab"].__setitem__(0, 5), lambda m: m["backbone"].update(n_layers="2")],
     ids=["extra_feature_key", "vocab_not_a_list", "backbone_dim_string", "missing_epoch",
          "frame_len_bool", "train_config_empty", "missing_feature_key", "feature_not_an_object",
          "lr_string", "train_seed_float", "n_mels_float", "log_floor_overflows_a_float",
-         "best_val_loss_string", "best_val_loss_null", "epoch_float", "epoch_bool"],
+         "best_val_loss_string", "best_val_loss_null", "epoch_float", "epoch_bool",
+         "downsample_factor_bool", "encoder_layers_float", "vocab_entry_number",
+         "backbone_layers_string"],
 )
 def test_checkpoint_metadata_of_wrong_shape_is_exit_two(workspace, capsys, edit):
     root, config = workspace

@@ -237,3 +237,21 @@ def test_command_failing_mid_stream_leaves_the_previous_report(tmp_path, monkeyp
     assert len(calls) == 9
     assert {name: (reports / name).read_bytes() for name in outputs} == before
     assert not list(reports.glob("*.tmp"))
+
+
+def test_csv_write_failing_partway_leaves_the_previous_report(tmp_path):
+    out = tmp_path / "reports" / "retrieval.csv"
+    header = ["mode", "passage_wer", "recall@5"]
+    cli._write_csv(out, header, [["gt_text", "", "1.0000"]])
+    before = out.read_bytes()
+
+    class Unwritable:
+        def __str__(self):
+            # The header and the first row are out, to a temp file beside the report.
+            assert [p.name for p in out.parent.iterdir()] != ["retrieval.csv"]
+            raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        cli._write_csv(out, header, [["gt_text", "", "0.5000"], ["speech_rag", "", Unwritable()]])
+    assert out.read_bytes() == before
+    assert [p.name for p in out.parent.iterdir()] == ["retrieval.csv"]
