@@ -1,5 +1,7 @@
 """Speech adapter: temporal average-pool downsampler plus a projection into
-the backbone embedding dimension."""
+the backbone embedding dimension.
+The encoder's layer loop calls the downsampler before its last (linear)
+layer; the projection maps the encoder output into the backbone."""
 
 from __future__ import annotations
 
@@ -39,12 +41,15 @@ def make_adapter(
 def downsample(seq: np.ndarray, factor: int) -> np.ndarray:
     """Average consecutive non-overlapping windows of `factor` rows; a final
     partial window is averaged over its actual length. Output has exactly
-    ceil(T / factor) rows."""
-    n_rows = seq.shape[0]
-    starts = np.arange(0, n_rows, factor)
-    sums = np.add.reduceat(seq, starts, axis=0)
-    counts = np.minimum(starts + factor, n_rows) - starts
-    return sums / counts[:, None].astype(seq.dtype)
+    ceil(T / factor) rows, in the dtype of `seq`."""
+    n_full, tail = divmod(len(seq), factor)
+    out = np.empty((n_full + (tail > 0), *seq.shape[1:]), seq.dtype)
+    seq[: n_full * factor].reshape(n_full, factor, *seq.shape[1:]).sum(axis=1, out=out[:n_full])
+    out[:n_full] /= factor
+    if tail:
+        seq[n_full * factor :].sum(axis=0, out=out[n_full])
+        out[n_full] /= tail
+    return out
 
 
 def project(seq: np.ndarray, params: AdapterParams) -> np.ndarray:

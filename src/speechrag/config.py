@@ -125,29 +125,47 @@ def resolved_hash(resolved: dict) -> str:
 _type_hints = functools.cache(typing.get_type_hints)
 
 
+class _Misfit(TypeError):
+    """Args: a value that does not fit its declared type, that type, and the
+    value's place below the field ("[3]" for a tuple's element, else "")."""
+
+
 def _as_declared(value, hint):
     """A JSON value (lists already made tuples) as a value of the field type
     `hint`. An int given for a float becomes a float, so that 0 and 0.0
-    resolve, and hash, the same; a bool fits no number. Raises TypeError,
-    or OverflowError for an int no float holds, when the value does not fit."""
+    resolve, and hash, the same; a bool fits no number. Raises _Misfit, for
+    the first element that does not fit when `hint` is a tuple, or for the
+    value."""
+    if type(value) is hint:  # a bool is its own class, so it still fits no int
+        return value
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if args[-1] is Ellipsis and isinstance(value, tuple):
             args = args[:1] * len(value)
         if not isinstance(value, tuple) or len(value) != len(args):
-            raise TypeError
-        return tuple(map(_as_declared, value, args))
+            raise _Misfit(value, hint, "")
+        items = []
+        for i, (item, arg) in enumerate(zip(value, args)):
+            try:
+                items.append(_as_declared(item, arg))
+            except _Misfit as exc:
+                bad, bad_hint, where = exc.args
+                raise _Misfit(bad, bad_hint, f"[{i}]{where}") from None
+        return tuple(items)
     for arg in args:  # a union, such as str | None
         try:
             return _as_declared(value, arg)
-        except (TypeError, OverflowError):
+        except _Misfit:
             pass
     if args or (isinstance(value, bool) and hint is not bool):
-        raise TypeError
+        raise _Misfit(value, hint, "")
     if hint is float and isinstance(value, int):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int no float holds
+            raise _Misfit(value, hint, "") from None
     if not isinstance(value, hint):
-        raise TypeError
+        raise _Misfit(value, hint, "")
     return value
 
 
@@ -172,12 +190,12 @@ def read_section(cls, data, section: str, seed: int | None = None, exact: bool =
     for name, value in values.items():
         if name in sections:
             continue
-        hint = hints[name]
         try:
-            values[name] = _as_declared(value, hint)
-        except (TypeError, OverflowError):
+            values[name] = _as_declared(value, hints[name])
+        except _Misfit as exc:
+            bad, hint, where = exc.args
             type_name = hint.__name__ if typing.get_origin(hint) is None else str(hint)
-            raise ValueError(f"{section}.{name} must be {type_name}, got {value!r}") from None
+            raise ValueError(f"{section}.{name}{where} must be {type_name}, got {bad!r}") from None
     for name in sections:
         values[name] = read_section(hints[name], values.get(name, {}), f"{section}.{name}",
                                     values.get("seed", seed), exact)

@@ -1,8 +1,12 @@
 """The two embedding branches sharing one frozen backbone.
 
 Text branch: tokens -> token embeddings -> backbone -> mean pool -> e_t.
-Speech branch: log-mel features -> trainable speech encoder -> adapter
-(downsample + project, see adapter module) -> backbone -> mean pool -> e_s.
+Speech branch: log-mel features -> the speech encoder's tanh layers ->
+per-sequence window mean (the adapter's downsample) -> the encoder's last,
+linear layer -> the adapter's projection -> backbone -> mean pool -> e_s.
+Pooling before the last layer rather than after it is exact in real
+arithmetic, because a mean commutes with an affine map; it runs that layer
+on a quarter of the rows at the default factor of 4.
 
 The backbone is a small fixed-seed residual mixer. It is frozen: training
 never writes to it, and it is regenerated bit-exactly from its seed.
@@ -233,27 +237,40 @@ def embed_text(text: str, vocab: Vocab, backbone: BackboneParams) -> np.ndarray:
     return pool(backbone_forward(seq, backbone))
 
 
-def encoder_layers(x: np.ndarray, params: SpeechEncoderParams) -> list[np.ndarray]:
-    """The speech encoder's layer loop on a T x n_mels array, unchecked.
+def encoder_layers(
+    x: np.ndarray, params: SpeechEncoderParams, lengths: Sequence[int], factor: int
+) -> list[np.ndarray]:
+    """The speech encoder's layer loop, unchecked, on log-mel frames of
+    sequences stacked row-wise in `x` with the given row counts; a single
+    sequence passes `(len(x),)`. The tanh layers run on the frames, then each
+    sequence is downsampled on its own and the last (linear) layer runs on
+    the pooled rows, which is exact in real arithmetic (see the module
+    docstring).
 
-    Returns the input followed by each layer's output (the last entry is the
-    encoder output): the inputs and activations the training backward pass
-    reads.
+    Returns the input, each tanh layer's output, the pooled input of the last
+    layer and the output (the last entry): the inputs and activations the
+    training backward pass reads.
     """
     states = [x]
-    last = len(params.layers) - 1
-    for k, (w, b) in enumerate(params.layers):
+    *hidden, (w, b) = params.layers
+    for w_k, b_k in hidden:
         # In place: one new array per layer, the same bits as x @ w + b.
-        x = x @ w
-        x += b
-        if k < last:
-            np.tanh(x, out=x)
+        x = x @ w_k
+        x += b_k
+        np.tanh(x, out=x)
         states.append(x)
+    pooled = np.concatenate([downsample(seq, factor) for seq in segments(x, lengths)])
+    out = pooled @ w
+    out += b
+    states += [pooled, out]
     return states
 
 
-def speech_encode(features: np.ndarray, params: SpeechEncoderParams) -> np.ndarray:
-    return encoder_layers(features.astype(params.layers[0][0].dtype, copy=False), params)[-1]
+def speech_encode(features: np.ndarray, params: SpeechEncoderParams, factor: int) -> np.ndarray:
+    """One sequence's encoder output at the downsampled rate: ceil(T/factor)
+    rows."""
+    x = features.astype(params.layers[0][0].dtype, copy=False)
+    return encoder_layers(x, params, (len(x),), factor)[-1]
 
 
 def embed_speech(
@@ -264,9 +281,8 @@ def embed_speech(
     backbone: BackboneParams,
 ) -> np.ndarray:
     feats = logmel(signal, cfg)
-    encoded = speech_encode(feats, speech_params)
-    pooled = downsample(encoded, adapter_params.downsample_factor)
-    projected = project(pooled, adapter_params)
+    encoded = speech_encode(feats, speech_params, adapter_params.downsample_factor)
+    projected = project(encoded, adapter_params)
     return pool(backbone_forward(projected, backbone))
 
 

@@ -2,10 +2,13 @@
 
 The objective is the cosine embedding loss 1 - cos(e_s, e_t), averaged over a
 batch of (audio passage, ground-truth transcript) pairs. Gradients are exact
-reverse-mode derivatives through pool -> backbone -> project -> downsample ->
-speech encoder, hand-written against the fixed computation graph (feature
-extraction has no parameters and is not differentiated). The backbone and
-token embeddings receive no gradient and are never mutated.
+reverse-mode derivatives through pool -> backbone -> project -> the speech
+encoder's last (linear) layer -> downsample -> its tanh layers, the inference
+order, hand-written against the fixed computation graph (feature extraction
+has no parameters and is not differentiated). So the last layer and the
+projection see only the pooled rows, a quarter of the frames at the default
+factor, in the forward and the backward pass. The backbone and token
+embeddings receive no gradient and are never mutated.
 
 Training runs in the precision of the model it is given (single precision
 from the CLI); gradient checking takes a double-precision model and compares
@@ -20,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapter import AdapterParams, downsample, make_adapter
+from .adapter import AdapterParams, make_adapter
 from .corpus import Corpus
 from .dsp import FeatureConfig, logmel
 from .encoder import (
@@ -167,36 +170,33 @@ def _forward(
     features: list[np.ndarray], speech, adapter, backbone
 ) -> tuple[list[np.ndarray], dict]:
     """The speech branch's forward pass over a batch's items, their feature
-    rows stacked. It runs inference's encoder and backbone layer loops and
-    its per-item `downsample`, so each item's embedding is the one inference
-    computes. It checks the activations stage by stage and names the first
-    stage that holds a non-finite value. Returns each item's pooled
+    rows stacked. It runs inference's encoder and backbone layer loops, which
+    downsample each item on its own, so each item's embedding is the one
+    inference computes. It checks the activations stage by stage and names
+    the first stage that holds a non-finite value. Returns each item's pooled
     embedding and every intermediate the backward pass reads."""
-    enc = encoder_layers(np.concatenate(features), speech)
-    if (k := _first_non_finite(enc[1:])) is not None:
-        raise FloatingPointError(f"non-finite activations after encoder layer {k}")
-    # The backward pass reads each encoder layer's input but not the encoder
-    # output, so that is dropped once it is downsampled.
     factor = adapter.downsample_factor
     n_frames = [len(f) for f in features]
-    parts = [downsample(seq, factor) for seq in segments(enc.pop(), n_frames)]
-    down = np.concatenate(parts)
-    proj = down @ adapter.w_proj + adapter.b_proj
+    enc = encoder_layers(np.concatenate(features), speech, n_frames, factor)
+    # The layer outputs: the tanh layers', then the last layer's; the entry
+    # between them is the last layer's pooled input.
+    if (k := _first_non_finite([*enc[1:-2], enc[-1]])) is not None:
+        raise FloatingPointError(f"non-finite activations after encoder layer {k}")
+    proj = enc[-1] @ adapter.w_proj + adapter.b_proj
     if not np.all(np.isfinite(proj)):
         raise FloatingPointError("non-finite activations after adapter projection")
-    lengths = [len(part) for part in parts]
+    lengths = [-(-n // factor) for n in n_frames]
     states, hidden = backbone_layers(proj, backbone, lengths)
     if (i := _first_non_finite(states[1:])) is not None:
         raise FloatingPointError(f"non-finite activations after backbone layer {i}")
     embeddings = [pool(seq) for seq in segments(states[-1], lengths)]
-    # Encoder rows per downsampled row: `factor`, except in an item's last
-    # window, which holds what is left of the item.
+    # Frames per pooled row: `factor`, except in an item's last window, which
+    # holds what is left of the item.
     windows = []
     for n in n_frames:
         full, tail = divmod(n, factor)
         windows += [factor] * full + [tail] * (tail > 0)
-    cache = {"enc": enc, "down": down, "bb_tanh": hidden, "lengths": lengths,
-             "windows": np.array(windows)}
+    cache = {"enc": enc, "bb_tanh": hidden, "lengths": lengths, "windows": np.array(windows)}
     return embeddings, cache
 
 
@@ -205,7 +205,8 @@ def _backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of the trainable tensors given each item's gradient at its
     downsampled rows (`grad_rows`, one row per item). Every weight and bias
-    gradient is one product or sum over all stacked rows."""
+    gradient is one product or sum over all stacked rows; the encoder's last
+    layer and the projection see the pooled rows only."""
     g = np.repeat(grad_rows, cache["lengths"], axis=0)
     for i in reversed(range(len(backbone.layers))):
         layer = backbone.layers[i]
@@ -215,24 +216,27 @@ def _backward(
         g_u = g_t * (1.0 - t * t)
         g = g + g_u @ layer.w_in.T
 
-    down = cache["down"]
+    *enc, pooled, out = cache["enc"]
     grads: dict[str, np.ndarray] = {
-        "adapter/w_proj": down.T @ g,
+        "adapter/w_proj": out.T @ g,
         "adapter/b_proj": g.sum(axis=0),
     }
     g = g @ adapter.w_proj.T
+    last = len(speech.layers) - 1
+    w, _ = speech.layers[last]
+    grads[f"encoder/{last}/w"] = pooled.T @ g
+    grads[f"encoder/{last}/b"] = g.sum(axis=0)
+    if last == 0:  # nothing reads the gradient of the features
+        return grads
+    g = g @ w.T
     windows = cache["windows"]
     g = np.repeat(g / windows[:, None].astype(g.dtype), windows, axis=0)
-
-    enc = cache["enc"]
-    n_layers = len(speech.layers)
-    for k in reversed(range(n_layers)):
+    for k in reversed(range(last)):
         w, _ = speech.layers[k]
-        if k < n_layers - 1:
-            g = g * (1.0 - enc[k + 1] * enc[k + 1])
+        g = g * (1.0 - enc[k + 1] * enc[k + 1])
         grads[f"encoder/{k}/w"] = enc[k].T @ g
         grads[f"encoder/{k}/b"] = g.sum(axis=0)
-        if k > 0:  # nothing reads the gradient of the features
+        if k > 0:
             g = g @ w.T
     return grads
 

@@ -20,9 +20,8 @@ from speechrag.corpus import (
     _make_vocabulary,
     _word_waveform,
 )
-from speechrag.adapter import downsample
 from speechrag.dsp import PCM_SCALE, AudioSignal, hz_to_mel, mel_to_hz
-from speechrag.encoder import RetrieverModel, backbone_layers, encoder_layers
+from speechrag.encoder import RetrieverModel, backbone_forward, backbone_layers, encoder_layers
 from speechrag.index import build, search
 from speechrag.ragpipe import (
     DEFAULT_INSTRUCTION,
@@ -142,14 +141,30 @@ def mean_cosine(corpus: Corpus, model: RetrieverModel) -> float:
     return total / len(corpus.passages)
 
 
+def encode_then_downsample(features: np.ndarray, speech, adapter, backbone) -> np.ndarray:
+    """A speech embedding with every encoder layer run on the frames and the
+    encoder output then averaged per window with `np.mean`: the order before
+    the window mean moved in front of the encoder's last (linear) layer. The
+    two orders are equal in real arithmetic; this is the reference of
+    `encoder.embed_speech`."""
+    x = features
+    for k, (w, b) in enumerate(speech.layers):
+        x = x @ w + b
+        if k < len(speech.layers) - 1:
+            x = np.tanh(x)
+    factor = adapter.downsample_factor
+    down = np.stack([x[i : i + factor].mean(axis=0) for i in range(0, len(x), factor)])
+    proj = down @ adapter.w_proj + adapter.b_proj
+    return backbone_forward(proj, backbone).mean(axis=0)
+
+
 def forward_item(features: np.ndarray, speech, adapter, backbone) -> tuple[np.ndarray, dict]:
     """One item's speech forward pass, unchecked, keeping every intermediate
     `backward_item` reads; the per-item reference of `training._forward`."""
-    enc = encoder_layers(features, speech)
-    down = downsample(enc[-1], adapter.downsample_factor)
-    proj = down @ adapter.w_proj + adapter.b_proj
+    enc = encoder_layers(features, speech, (len(features),), adapter.downsample_factor)
+    proj = enc[-1] @ adapter.w_proj + adapter.b_proj
     states, hidden = backbone_layers(proj, backbone, (len(proj),))
-    return states[-1].mean(axis=0), {"enc": enc, "down": down, "bb_tanh": hidden}
+    return states[-1].mean(axis=0), {"enc": enc, "bb_tanh": hidden}
 
 
 def backward_item(
@@ -157,8 +172,8 @@ def backward_item(
 ) -> dict[str, np.ndarray]:
     """One item's trainable-tensor gradients given dL/de_s; the per-item
     reference of `training._backward`."""
-    down = cache["down"]
-    n_rows = down.shape[0]
+    *enc, pooled, out = cache["enc"]
+    n_rows = out.shape[0]
     g = np.broadcast_to(grad_e / n_rows, (n_rows, grad_e.size)).copy()
     for i in reversed(range(len(backbone.layers))):
         layer = backbone.layers[i]
@@ -169,23 +184,30 @@ def backward_item(
         g = g + g_u @ layer.w_in.T
 
     grads: dict[str, np.ndarray] = {
-        "adapter/w_proj": down.T @ g,
+        "adapter/w_proj": out.T @ g,
         "adapter/b_proj": g.sum(axis=0),
     }
     g = g @ adapter.w_proj.T
 
-    enc = cache["enc"]
+    # The last layer is linear and sees the pooled rows.
+    n_layers = len(speech.layers)
+    w, _ = speech.layers[-1]
+    grads[f"encoder/{n_layers - 1}/w"] = pooled.T @ g
+    grads[f"encoder/{n_layers - 1}/b"] = g.sum(axis=0)
+    g = g @ w.T
+
+    # The window mean hands each frame its window's gradient over the
+    # window's length.
     factor = adapter.downsample_factor
-    enc_rows = enc[-1].shape[0]
-    starts = np.arange(0, enc_rows, factor)
-    counts = np.minimum(starts + factor, enc_rows) - starts
+    frames = enc[-1].shape[0]
+    starts = np.arange(0, frames, factor)
+    counts = np.minimum(starts + factor, frames) - starts
     g = np.repeat(g / counts[:, None].astype(g.dtype), counts, axis=0)
 
-    n_layers = len(speech.layers)
-    for k in reversed(range(n_layers)):
+    for k in reversed(range(n_layers - 1)):
         w, _ = speech.layers[k]
         act = enc[k + 1]
-        g_z = g * (1.0 - act * act) if k < n_layers - 1 else g
+        g_z = g * (1.0 - act * act)
         grads[f"encoder/{k}/w"] = enc[k].T @ g_z
         grads[f"encoder/{k}/b"] = g_z.sum(axis=0)
         g = g_z @ w.T

@@ -50,6 +50,21 @@ def test_downsample_length_property(t, factor):
     assert out.shape == (-(-t // factor), 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.integers(min_value=1, max_value=40),
+    factor=st.integers(min_value=1, max_value=7),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_downsample_is_the_per_window_mean(t, factor, dtype):
+    seq = np.random.default_rng(t * 7 + factor).normal(size=(t, 3)).astype(dtype)
+    out = downsample(seq, factor)
+    ref = np.stack([seq[i : i + factor].mean(axis=0) for i in range(0, t, factor)])
+    assert out.dtype == dtype and out.shape == (-(-t // factor), 3)
+    tol = 1e-6 if dtype == np.float32 else 1e-14
+    assert np.max(np.abs(out - ref)) <= tol * np.max(np.abs(ref))
+
+
 def test_effective_output_frame_is_80ms():
     cfg = FeatureConfig()
     adapter = make_adapter(downsample_factor=4)

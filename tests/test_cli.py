@@ -8,9 +8,9 @@ import struct
 import pytest
 
 from speechrag import __version__, cli
-from speechrag.checkpoint import save_checkpoint
+from speechrag.checkpoint import load_checkpoint, save_checkpoint
 from speechrag.cli import main
-from speechrag.config import RunConfig, load_config, resolved_hash
+from speechrag.config import RunConfig, load_config, read_section, resolved_hash
 from speechrag.encoder import Vocab
 from speechrag.ragpipe import MockJudge
 from speechrag.training import Checkpoint, TrainConfig, build_model
@@ -364,6 +364,65 @@ def test_config_types_accept_ints_for_floats_and_lists_for_tuples(tmp_path):
     assert resolved_hash(config.resolved()) == resolved_hash(spelled_as_floats.resolved())
     assert resolved_hash(load_config(None, {"target_wer": 0}).resolved()) == (
         resolved_hash(load_config(None, {"target_wer": 0.0}).resolved()))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    count: int
+    scale: float
+    name: str | None
+    ks: tuple[int, ...]
+    pair: tuple[float, float]
+
+
+_RECORD = {"count": 3, "scale": 1, "name": None, "ks": [1, 2], "pair": [0, 2.5]}
+
+
+def test_typed_reader_resolves_each_kind_of_field():
+    record = read_section(_Record, _RECORD, "r", exact=True)
+    assert record == _Record(3, 1.0, None, (1, 2), (0.0, 2.5))
+    # An int given for a float is converted, also inside a tuple.
+    assert [type(v) for v in (record.scale, *record.pair)] == [float] * 3
+    assert read_section(_Record, {**_RECORD, "name": "x"}, "r", exact=True).name == "x"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [({"count": True}, "r.count must be int, got True"),
+     ({"scale": True}, "r.scale must be float, got True"),
+     ({"name": 5}, "r.name must be str | None, got 5"),
+     ({"ks": [1, "2"]}, "r.ks[1] must be int, got '2'"),
+     ({"ks": [True]}, "r.ks[0] must be int, got True"),
+     ({"pair": [1.0]}, "r.pair must be tuple[float, float], got (1.0,)"),
+     ({"pair": [1.0, 10**400]}, f"r.pair[1] must be float, got {10**400}")],
+    ids=["bool_for_int", "bool_for_float", "int_for_optional_str", "tuple_element",
+         "bool_tuple_element", "tuple_length", "tuple_element_overflows_a_float"],
+)
+def test_typed_reader_names_the_value_that_does_not_fit(edit, message):
+    with pytest.raises(ValueError) as info:
+        read_section(_Record, {**_RECORD, **edit}, "r", exact=True)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [({"k_values": [5, 10.0]}, "config.k_values[1] must be int, got 10.0"),
+     ({"snr_grid": [0, "5"]}, "config.snr_grid[1] must be float, got '5'"),
+     ({"corruption_mix": [0.6, None, 0.2]}, "config.corruption_mix[1] must be float, got None")],
+)
+def test_config_tuple_fault_names_the_element(edit, message):
+    with pytest.raises(ValueError) as info:
+        load_config(None, edit)
+    assert str(info.value) == message
+
+
+def test_checkpoint_vocab_fault_names_the_entry(tmp_path):
+    path = tmp_path / "model.ckpt"
+    write_checkpoint_with_metadata(path, lambda m: m["vocab"].__setitem__(1, 5))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (
+        f"corrupt checkpoint (metadata: meta.vocab[1] must be str, got 5): {path}")
 
 
 def write_checkpoint_with_metadata(path, edit) -> None:

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from speechrag.dsp import AudioSignal, logmel
+from speechrag.adapter import make_adapter
+from speechrag.checkpoint import load_checkpoint
+from speechrag.corpus import SynthParams, synth_corpus
+from speechrag.dsp import AudioSignal, FeatureConfig, logmel
 from speechrag.encoder import (
     UNK,
     BackboneParams,
@@ -26,7 +32,7 @@ from speechrag.encoder import (
     words,
 )
 
-from oracles import cosine_loss
+from oracles import cosine_loss, encode_then_downsample
 
 SR = 16000
 
@@ -200,20 +206,22 @@ def test_speech_encode_zero_params_zero_output():
     params = SpeechEncoderParams(
         layers=((np.zeros((4, 3)), np.zeros(3)), (np.zeros((3, 3)), np.zeros(3)))
     )
-    out = speech_encode(np.random.default_rng(0).normal(size=(5, 4)), params)
-    assert np.array_equal(out, np.zeros((5, 3)))
+    out = speech_encode(np.random.default_rng(0).normal(size=(5, 4)), params, 2)
+    assert np.array_equal(out, np.zeros((3, 3)))
 
 
 def test_speech_encode_single_linear_identity():
     params = SpeechEncoderParams(layers=((np.eye(4), np.zeros(4)),))
     x = np.random.default_rng(1).normal(size=(6, 4))
-    assert np.allclose(speech_encode(x, params), x)
+    assert np.allclose(speech_encode(x, params, 1), x)
 
 
 def test_speech_encode_preserves_frame_count():
     params = make_speech_encoder(n_mels=40, encoder_dim=16, n_layers=2, seed=0)
     x = np.random.default_rng(2).normal(size=(23, 40))
-    assert speech_encode(x, params).shape == (23, 16)
+    # At factor 1 every frame is a row of its own; otherwise each window is.
+    assert speech_encode(x, params, 1).shape == (23, 16)
+    assert speech_encode(x, params, 4).shape == (6, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +254,58 @@ def test_shape_contract_feature_and_adapter_rows(untrained_model):
         feats = logmel(signal, untrained_model.feature_config)
         expected_t = math.floor((seconds - 0.025) / 0.020) + 1
         assert feats.shape[0] == expected_t
-        encoded = speech_encode(feats, untrained_model.speech)
-        from speechrag.adapter import downsample
+        encoded = speech_encode(feats, untrained_model.speech,
+                                untrained_model.adapter.downsample_factor)
+        assert encoded.shape[0] == math.ceil(expected_t / 4)
 
-        rows = downsample(encoded, untrained_model.adapter.downsample_factor).shape[0]
-        assert rows == math.ceil(expected_t / 4)
+
+# Pooling before the encoder's last layer is exact in real arithmetic; in
+# floats the embedding may move by rounding only.
+POOL_ORDER_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def assert_close_to_encode_then_downsample(got, signal, model_parts, cfg, dtype):
+    speech, adapter, backbone = model_parts
+    ref = encode_then_downsample(logmel(signal, cfg).astype(dtype), speech, adapter, backbone)
+    assert got.dtype == ref.dtype == dtype
+    assert np.max(np.abs(got - ref)) <= POOL_ORDER_TOL[dtype] * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=40, deadline=None)
+@given(
+    frames=st.integers(min_value=1, max_value=31),
+    factor=st.integers(min_value=1, max_value=5),
+    depth=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(frames=3, factor=4, depth=2, seed=0)  # a single, partial window
+@example(frames=20, factor=4, depth=2, seed=0)  # whole windows only
+@example(frames=21, factor=5, depth=1, seed=0)  # the pool runs on log-mel rows
+def test_embed_speech_matches_encode_then_downsample(dtype, frames, factor, depth, seed):
+    cfg = FeatureConfig()
+    speech = make_speech_encoder(cfg.n_mels, 8, depth, seed, dtype)
+    adapter = make_adapter(8, 8, factor, seed, dtype, proj_std=0.1)
+    backbone = make_backbone(3, 8, 2, seed, dtype)
+    rng = np.random.default_rng(seed)
+    n = cfg.frame_samples(SR) + (frames - 1) * cfg.hop_samples(SR)
+    signal = AudioSignal(0.1 * rng.normal(size=n), SR)
+    got = embed_speech(signal, cfg, speech, adapter, backbone)
+    assert_close_to_encode_then_downsample(got, signal, (speech, adapter, backbone), cfg, dtype)
+
+
+def test_checkpoint_trained_before_the_pool_moved_embeds_as_it_did():
+    """A checkpoint saved when the encoder output was downsampled after the
+    last layer (trained 3 epochs on the seed-2, 8-passage corpus below) loads
+    and embeds within rounding of that order."""
+    model = load_checkpoint(Path(__file__).parent / "data/encode_then_downsample.ckpt").model
+    corpus = synth_corpus(SynthParams(n_passages=8, vocabulary_size=10,
+                                      words_per_passage=(4, 8), seed=2))
+    parts = (model.speech, model.adapter, model.backbone)
+    for p in corpus.passages:
+        signal = corpus.load_audio(p)
+        assert_close_to_encode_then_downsample(model.embed_speech(signal), signal, parts,
+                                               model.feature_config, np.float32)
 
 
 def test_embed_speech_too_short_rejected(untrained_model):

@@ -332,7 +332,7 @@ def test_stacked_pass_keeps_the_model_dtype(small_corpus):
     items = unequal_items(small_corpus, model)
     parts = (model.speech, model.adapter, model.backbone)
     embeddings, cache = _forward([f for f, _ in items], *parts)
-    arrays = [*embeddings, *cache["enc"], cache["down"], *cache["bb_tanh"]]
+    arrays = [*embeddings, *cache["enc"], *cache["bb_tanh"]]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     _, grads = loss_and_grads(items, *parts)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
