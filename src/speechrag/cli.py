@@ -54,12 +54,9 @@ from .ragpipe import (
 from .training import _corpus_items, build_model, grad_check, train
 
 MODE_ALIASES = {
+    **{mode.value: mode for mode in PipelineMode},
     "speech": PipelineMode.SPEECH_RAG,
-    "gt_text": PipelineMode.GT_TEXT,
     "cascaded": PipelineMode.FULLY_CASCADED,
-    "speech_rag": PipelineMode.SPEECH_RAG,
-    "fully_cascaded": PipelineMode.FULLY_CASCADED,
-    "semi_cascaded": PipelineMode.SEMI_CASCADED,
 }
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -199,12 +196,12 @@ def _build_model(config: RunConfig, vocab: Vocab, seed: int, **overrides):
 
 
 def _model_for(config: RunConfig, corpus, mode: PipelineMode):
-    """Speech modes need the trained checkpoint; text-only modes fall back to
-    a freshly built (frozen-backbone) model when no checkpoint exists yet."""
+    """The checkpoint's model. A mode that embeds audio requires it; a text
+    mode falls back to a freshly built (frozen-backbone) model without one."""
     ckpt_path = config.path(config.checkpoint_path)
     if ckpt_path.exists():
         return load_checkpoint(ckpt_path).model
-    if mode in (PipelineMode.SPEECH_RAG, PipelineMode.SEMI_CASCADED):
+    if mode.embeds_audio:
         raise FileNotFoundError(f"mode {mode.value} requires a trained checkpoint at {ckpt_path}")
     return _build_model(config, Vocab.from_words(corpus_words(corpus)), config.seed)
 
@@ -293,7 +290,7 @@ def cmd_index(config: RunConfig, args) -> int:
 def cmd_search(config: RunConfig, args) -> int:
     idx = load_index(config.path(config.index_path, mode=args.mode.value))
     corpus = load_manifest(config.path(config.corpus_manifest))
-    model = _model_for(config, corpus, PipelineMode.GT_TEXT)
+    model = _model_for(config, corpus, args.mode)
     ids, scores = search(idx, model.embed_text(args.query), args.k)
     for pid, score in zip(ids, scores):
         print(json.dumps({"id": pid, "score": round(score, 6)}))

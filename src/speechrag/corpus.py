@@ -190,8 +190,9 @@ def load_manifest(path) -> Corpus:
                             os.close(fd)
                     except (FileNotFoundError, NotADirectoryError):
                         raise ValueError(f"audio file not found: {Path(base_dir, audio)}") from None
-                    except ValueError as exc:
-                        raise ValueError(f"unreadable WAV {Path(base_dir, audio)}: {exc}") from exc
+                    except (OSError, ValueError) as exc:  # a directory opens, then fails to read
+                        reason = getattr(exc, "strerror", None) or exc
+                        raise ValueError(f"unreadable WAV {Path(base_dir, audio)}: {reason}") from exc
                     if n_frames == 0:
                         raise ValueError(f"passage {pid!r} has zero-duration audio")
                     if pid in seen_ids:

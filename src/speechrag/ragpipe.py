@@ -1,16 +1,8 @@
 """Retrieval-augmented generation pipelines and their evaluation metrics.
 
-Four pipeline shapes share one retrieval core:
-
-* ``speech_rag``: speech retrieval, audio references as generator context.
-* ``semi_cascaded``: speech retrieval, ground-truth transcripts as context.
-* ``fully_cascaded``: text retrieval over corrupted transcripts (the stand-in
-  for an ASR front end), corrupted transcripts as context.
-* ``gt_text``: text retrieval over ground-truth transcripts; the upper-bound
-  reference.
-
-Real ASR is replaced by a calibrated word-level corruptor: the quantity under
-study is the transcript WER level, and the corruptor controls it exactly.
+Four pipeline modes (PipelineMode) share one retrieval core. Real ASR is
+replaced by a calibrated word-level corruptor: the quantity under study is
+the transcript WER level, and the corruptor controls it exactly.
 Generators are pluggable; the built-in OracleGenerator answers correctly iff
 the relevant passage was retrieved, which makes LLM-free end-to-end checks
 possible. An HTTP generator client speaks the JSON wire protocol documented
@@ -42,10 +34,21 @@ JUDGE_INSTRUCTION = (
 
 
 class PipelineMode(str, Enum):
+    """What a pipeline embeds each passage from, and its generator's context:
+    ``speech_rag`` the audio, with audio references; ``semi_cascaded`` the
+    audio, with transcripts; ``fully_cascaded`` a corrupted transcript (the
+    ASR stand-in), with it; ``gt_text`` the transcript, with it (upper bound)."""
+
     SPEECH_RAG = "speech_rag"
     FULLY_CASCADED = "fully_cascaded"
     SEMI_CASCADED = "semi_cascaded"
     GT_TEXT = "gt_text"
+
+    @property
+    def embeds_audio(self) -> bool:
+        """Whether passages are embedded from audio, by the trained speech
+        branch that only a checkpoint holds, not from a transcript."""
+        return self in (PipelineMode.SPEECH_RAG, PipelineMode.SEMI_CASCADED)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +353,14 @@ def passage_embeddings(
     order, and the context string every passage contributes to generation
     prompts. A transcript the corruptor deletes entirely has no words to
     embed: its passage is left out of the rows, so no query retrieves it."""
+    corrupted = mode is PipelineMode.FULLY_CASCADED
+    if corrupted and corruption is None:
+        raise ValueError("fully_cascaded mode requires a CorruptionConfig")
     ids: list[str] = []
     rows: list[np.ndarray] = []
     contexts: dict[str, str] = {}
     for p in corpus.passages:
-        if mode in (PipelineMode.SPEECH_RAG, PipelineMode.SEMI_CASCADED):
+        if mode.embeds_audio:
             signal = corpus.load_audio(p)
             if snr_db is not None:
                 signal = add_noise_snr(signal, snr_db, _noise_seed_for(noise_seed, p.id))
@@ -362,19 +368,12 @@ def passage_embeddings(
             contexts[p.id] = (
                 audio_reference(p) if mode is PipelineMode.SPEECH_RAG else p.transcript
             )
-        elif mode is PipelineMode.FULLY_CASCADED:
-            if corruption is None:
-                raise ValueError("fully_cascaded mode requires a CorruptionConfig")
-            corrupted = corrupt_transcript(p.transcript, corruption)
-            contexts[p.id] = corrupted
-            if not words(corrupted):
-                continue
-            emb = model.embed_text(corrupted)
-        elif mode is PipelineMode.GT_TEXT:
-            emb = model.embed_text(p.transcript)
-            contexts[p.id] = p.transcript
         else:
-            raise ValueError(f"unhandled mode {mode}")
+            text = corrupt_transcript(p.transcript, corruption) if corrupted else p.transcript
+            contexts[p.id] = text
+            if corrupted and not words(text):
+                continue
+            emb = model.embed_text(text)
         ids.append(p.id)
         rows.append(emb)
     if not rows:

@@ -5,6 +5,7 @@ import json
 import re
 import struct
 
+import numpy as np
 import pytest
 
 from speechrag import __version__, cli
@@ -12,6 +13,8 @@ from speechrag.checkpoint import load_checkpoint, save_checkpoint
 from speechrag.cli import main
 from speechrag.config import RunConfig, load_config, read_section, resolved_hash
 from speechrag.encoder import Vocab
+from speechrag.index import build as build_index
+from speechrag.index import save as save_index
 from speechrag.ragpipe import MockJudge
 from speechrag.training import Checkpoint, TrainConfig, build_model
 
@@ -473,6 +476,52 @@ def test_speech_mode_without_checkpoint_is_runtime_error(workspace, capsys):
     root, config = workspace
     assert run("synth", "--config", config) == 0
     assert run("embed", "--config", config, "--mode", "speech") == 2
+
+
+def write_index(config, mode: str) -> None:
+    """An index of the corpus's passages over random rows of the backbone
+    width, where `search --mode mode` reads it."""
+    resolved = load_config(config)
+    ids = [f"p{i:04d}" for i in range(FAST_CONFIG["synth"]["n_passages"])]
+    rows = np.random.default_rng(0).standard_normal((len(ids), resolved.hidden_dim))
+    save_index(build_index(ids, rows), resolved.path(resolved.index_path, mode=mode))
+
+
+@pytest.mark.parametrize("argv", [
+    *((command, "--mode", mode)
+      for command in ("search", "embed", "eval-retrieval", "eval-generation")
+      for mode in ("speech", "semi_cascaded")),
+    ("noise-sweep",),
+], ids=lambda argv: "-".join(argv[::2]))
+def test_audio_mode_without_checkpoint_is_runtime_error(workspace, capsys, argv):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    if argv[0] == "search":
+        # search reads its index before it asks for a model.
+        write_index(config, cli.MODE_ALIASES[argv[2]].value)
+        argv += ("--query", "some words")
+    capsys.readouterr()
+    assert run(*argv, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert f"requires a trained checkpoint at {root / 'artifacts/model.ckpt'}" in err
+
+
+@pytest.mark.parametrize("alias, mode", [("gt_text", "gt_text"), ("cascaded", "fully_cascaded")])
+def test_text_mode_search_without_checkpoint_uses_a_fresh_model(workspace, capsys, alias, mode):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    write_index(config, mode)
+    capsys.readouterr()
+    assert run("search", "--config", config, "--mode", alias, "--query", "some words") == 0
+    hits = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(hits) == 5 and not (root / "artifacts/model.ckpt").exists()
+
+
+def test_mode_aliases_are_the_values_and_two_short_names():
+    assert {name: mode.value for name, mode in cli.MODE_ALIASES.items()} == {
+        "speech": "speech_rag", "speech_rag": "speech_rag", "semi_cascaded": "semi_cascaded",
+        "cascaded": "fully_cascaded", "fully_cascaded": "fully_cascaded", "gt_text": "gt_text",
+    }
 
 
 def test_metadata_record_contents(workspace):

@@ -374,6 +374,20 @@ def test_malformed_wav_rejected_with_line_number(tmp_path, name):
         header_via_wave(tmp_path / "audio" / "bad.wav")
 
 
+def test_audio_entry_that_is_a_directory_names_its_line(tmp_path):
+    good = make_wav(tmp_path, "good.wav")
+    (tmp_path / "audio" / "dir.wav").mkdir()
+    path = write_manifest(
+        tmp_path,
+        [
+            {"kind": "passage", "id": "p1", "audio": good, "transcript": "x"},
+            {"kind": "passage", "id": "p2", "audio": "audio/dir.wav", "transcript": "y"},
+        ],
+    )
+    with pytest.raises(ManifestError, match=r"^line 2: unreadable WAV .*dir\.wav: Is a directory$"):
+        load_manifest(path)
+
+
 def test_manifest_of_wav_variants_loads_to_the_expected_corpus(tmp_path):
     """Each hand-built layout, one-unpack or walked, loads to the corpus
     that its records and wave.open describe."""
