@@ -73,16 +73,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _mode(value: str) -> PipelineMode:
-    """One pipeline mode by name: the --mode of single-mode commands."""
+    """One pipeline by name: eval-generation's --mode."""
     if value not in MODE_ALIASES:
         raise argparse.ArgumentTypeError(
             f"unknown mode {value!r} (choose from {sorted(MODE_ALIASES)})")
     return MODE_ALIASES[value]
 
 
-def _modes(value: str) -> tuple[PipelineMode, ...]:
-    """A comma list of distinct pipeline modes: eval-retrieval's --mode."""
-    modes = tuple(_mode(token.strip()) for token in value.split(","))
+def _retriever(value: str) -> PipelineMode:
+    """One retriever by name: the --mode of embed, index and search."""
+    if (mode := _mode(value)).retriever is not mode:
+        raise argparse.ArgumentTypeError(f"{mode.value} is not a retriever: use {mode.retriever.value}")
+    return mode
+
+
+def _retrievers(value: str) -> tuple[PipelineMode, ...]:
+    """A comma list of distinct retrievers: eval-retrieval's --mode."""
+    modes = tuple(_retriever(token.strip()) for token in value.split(","))
     if len(set(modes)) != len(modes):
         raise argparse.ArgumentTypeError(f"mode repeated in {value!r}")
     return modes
@@ -196,12 +203,12 @@ def _build_model(config: RunConfig, vocab: Vocab, seed: int, **overrides):
 
 
 def _model_for(config: RunConfig, corpus, mode: PipelineMode):
-    """The checkpoint's model. A mode that embeds audio requires it; a text
-    mode falls back to a freshly built (frozen-backbone) model without one."""
+    """The checkpoint's model. A mode that retrieves as speech_rag requires
+    it; a text retriever falls back to a fresh (frozen-backbone) model."""
     ckpt_path = config.path(config.checkpoint_path)
     if ckpt_path.exists():
         return load_checkpoint(ckpt_path).model
-    if mode.embeds_audio:
+    if mode.retriever is PipelineMode.SPEECH_RAG:
         raise FileNotFoundError(f"mode {mode.value} requires a trained checkpoint at {ckpt_path}")
     return _build_model(config, Vocab.from_words(corpus_words(corpus)), config.seed)
 
@@ -210,9 +217,7 @@ def _mode_inputs(config: RunConfig, corpus, mode: PipelineMode):
     """The model a mode runs with, and its corruptor: only fully_cascaded
     retrieves over corrupted transcripts, so every other mode gets None."""
     model = _model_for(config, corpus, mode)
-    if mode is not PipelineMode.FULLY_CASCADED:
-        return model, None
-    return model, _corruption(config, corpus)
+    return model, (_corruption(config, corpus) if mode is PipelineMode.FULLY_CASCADED else None)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +334,8 @@ def cmd_noise_sweep(config: RunConfig, args) -> int:
     ).recalls[5]
     rows = []
     for snr_db in config.snr_grid:
-        speech = retrieval_run(
-            corpus,
-            PipelineMode.SPEECH_RAG,
-            speech_model,
-            k_values=(5,),
-            snr_db=snr_db,
-            noise_seed=config.seed,
-        ).recalls[5]
+        speech = retrieval_run(corpus, PipelineMode.SPEECH_RAG, speech_model, k_values=(5,),
+                               snr_db=snr_db, noise_seed=config.seed).recalls[5]
         rows.append([snr_db, "speech_rag", f"{speech:.4f}"])
         rows.append([snr_db, "fully_cascaded", f"{cascaded:.4f}"])
     out = config.path(config.report_dir) / "noise_sweep.csv"
@@ -425,9 +424,11 @@ def cmd_gradcheck(config: RunConfig, args) -> int:
 _COMMON = (("--config", dict(help="path to JSON config")),
            ("--seed", dict(type=int, help="override the global seed")),
            ("--data-dir", dict(dest="data_dir", help="override the data root")))
+_RETRIEVER_NAMES = sorted(name for name, mode in MODE_ALIASES.items() if mode.retriever is mode)
 _MODE = ("--mode", dict(type=_mode, default="speech", help=f"one mode from {sorted(MODE_ALIASES)}"))
-_MODES = ("--mode", dict(type=_modes, default="speech",
-                         help=f"comma list of distinct modes from {sorted(MODE_ALIASES)}"))
+_RETRIEVER = ("--mode", dict(type=_retriever, default="speech", help=f"one of {_RETRIEVER_NAMES}"))
+_RETRIEVERS = ("--mode", dict(type=_retrievers, default="speech",
+                              help=f"comma list of distinct retrievers from {_RETRIEVER_NAMES}"))
 _MANIFEST = ("--manifest", dict(dest="corpus_manifest",
                                 help="manifest to evaluate (overrides corpus_manifest)"))
 _TARGET_WER = ("--target-wer", dict(dest="target_wer", type=float,
@@ -441,11 +442,11 @@ FLAGS = {
     "synth": _COMMON,
     "split": _COMMON,
     "train": _COMMON,
-    "embed": (*_COMMON, _MODE, _MANIFEST, _TARGET_WER, _SNR_DB),
-    "index": (*_COMMON, _MODE),
-    "search": (*_COMMON, _MODE, _MANIFEST, ("--query", dict(required=True)),
+    "embed": (*_COMMON, _RETRIEVER, _MANIFEST, _TARGET_WER, _SNR_DB),
+    "index": (*_COMMON, _RETRIEVER),
+    "search": (*_COMMON, _RETRIEVER, _MANIFEST, ("--query", dict(required=True)),
                ("--k", dict(type=_at_least_one, default=5))),
-    "eval-retrieval": (*_COMMON, _MODES, _MANIFEST, _TARGET_WER, _SNR_DB,
+    "eval-retrieval": (*_COMMON, _RETRIEVERS, _MANIFEST, _TARGET_WER, _SNR_DB,
                        ("--k", dict(dest="k_values", type=int_list,
                                     help="comma list of recall cutoffs (overrides k_values)"))),
     "noise-sweep": (*_COMMON, _MANIFEST, _TARGET_WER,

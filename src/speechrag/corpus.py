@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import string
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
@@ -33,6 +34,9 @@ from .encoder import words as split_words
 SYNTH_SAMPLE_RATE = 16000
 WORD_SECONDS = 0.1
 
+# What encoder.words finds once lowered; the set settles most texts before the regex.
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "\u0130\u212a")
+_WORD_CHAR = re.compile(f"[{''.join(sorted(_WORD_CHARS))}]")
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
@@ -99,8 +103,9 @@ class Corpus:
             dup = next(p.id for p in self.passages if p.id in seen or seen.add(p.id))
             raise ValueError(f"duplicate passage id {dup!r}")
         for p in self.passages:
-            if not p.transcript:
-                raise ValueError(f"passage {p.id}: empty transcript")
+            if p.transcript[:1] not in _WORD_CHARS and not _WORD_CHAR.search(p.transcript):
+                raise ValueError(f"passage {p.id}: no words in transcript {p.transcript!r}"
+                                 if p.transcript else f"passage {p.id}: empty transcript")
             if p.audio_path is None:
                 if codebook is None:
                     raise ValueError(f"passage {p.id}: no file reference and no codebook")
@@ -178,8 +183,9 @@ def load_manifest(path) -> Corpus:
                 kind = record["kind"]
                 if kind == "passage":
                     pid, audio, transcript = _record_fields(record, kind)
-                    if not transcript:
-                        raise ValueError(f"passage {pid!r} has empty transcript")
+                    if transcript[:1] not in _WORD_CHARS and not _WORD_CHAR.search(transcript):
+                        raise ValueError(f"passage {pid!r} has no words in transcript {transcript!r}"
+                                         if transcript else f"passage {pid!r} has empty transcript")
                     # Header-only read: samples stay lazy, but rate and duration are checked now.
                     audio_file = os.path.join(base_dir, audio)
                     try:

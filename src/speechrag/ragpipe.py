@@ -1,6 +1,6 @@
 """Retrieval-augmented generation pipelines and their evaluation metrics.
 
-Four pipeline modes (PipelineMode) share one retrieval core. Real ASR is
+Four pipelines (PipelineMode) share three retrievers. Real ASR is
 replaced by a calibrated word-level corruptor: the quantity under study is
 the transcript WER level, and the corruptor controls it exactly.
 Generators are pluggable; the built-in OracleGenerator answers correctly iff
@@ -34,10 +34,11 @@ JUDGE_INSTRUCTION = (
 
 
 class PipelineMode(str, Enum):
-    """What a pipeline embeds each passage from, and its generator's context:
-    ``speech_rag`` the audio, with audio references; ``semi_cascaded`` the
-    audio, with transcripts; ``fully_cascaded`` a corrupted transcript (the
-    ASR stand-in), with it; ``gt_text`` the transcript, with it (upper bound)."""
+    """A pipeline: its retriever, and its generator's contexts (see
+    run_pipeline). The three retrievers embed a passage from ``speech_rag``
+    its audio; ``fully_cascaded`` a corrupted transcript (the ASR stand-in);
+    ``gt_text`` its transcript (upper bound). ``semi_cascaded`` is no
+    retriever: it retrieves as ``speech_rag``, with transcript contexts."""
 
     SPEECH_RAG = "speech_rag"
     FULLY_CASCADED = "fully_cascaded"
@@ -45,10 +46,9 @@ class PipelineMode(str, Enum):
     GT_TEXT = "gt_text"
 
     @property
-    def embeds_audio(self) -> bool:
-        """Whether passages are embedded from audio, by the trained speech
-        branch that only a checkpoint holds, not from a transcript."""
-        return self in (PipelineMode.SPEECH_RAG, PipelineMode.SEMI_CASCADED)
+    def retriever(self) -> PipelineMode:
+        """The mode whose retrieval this pipeline runs; a retriever is its own."""
+        return PipelineMode.SPEECH_RAG if self is PipelineMode.SEMI_CASCADED else self
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +347,27 @@ def passage_embeddings(
     corruption: CorruptionConfig | None = None,
     snr_db: float | None = None,
     noise_seed: int = 0,
-) -> tuple[list[str], np.ndarray, dict[str, str]]:
-    """Embed every passage under the given mode's representation. Returns
-    the ids of the passages with an embedding and their rows, both in corpus
-    order, and the context string every passage contributes to generation
-    prompts. A transcript the corruptor deletes entirely has no words to
-    embed: its passage is left out of the rows, so no query retrieves it."""
-    corrupted = mode is PipelineMode.FULLY_CASCADED
+) -> tuple[list[str], np.ndarray, dict[str, str] | None]:
+    """Embed every passage as the mode's retriever does. Returns the ids of
+    the passages with an embedding and their rows, both in corpus order, and
+    a text retriever's text for every passage (None for speech). A transcript
+    the corruptor deletes entirely has no words to embed: its passage has no
+    row, so no query retrieves it, and its text is empty."""
+    corrupted = mode.retriever is PipelineMode.FULLY_CASCADED
     if corrupted and corruption is None:
         raise ValueError("fully_cascaded mode requires a CorruptionConfig")
     ids: list[str] = []
     rows: list[np.ndarray] = []
-    contexts: dict[str, str] = {}
+    texts: dict[str, str] | None = None if mode.retriever is PipelineMode.SPEECH_RAG else {}
     for p in corpus.passages:
-        if mode.embeds_audio:
+        if texts is None:
             signal = corpus.load_audio(p)
             if snr_db is not None:
                 signal = add_noise_snr(signal, snr_db, _noise_seed_for(noise_seed, p.id))
             emb = model.embed_speech(signal)
-            contexts[p.id] = (
-                audio_reference(p) if mode is PipelineMode.SPEECH_RAG else p.transcript
-            )
         else:
             text = corrupt_transcript(p.transcript, corruption) if corrupted else p.transcript
-            contexts[p.id] = text
+            texts[p.id] = text
             if corrupted and not words(text):
                 continue
             emb = model.embed_text(text)
@@ -379,7 +376,7 @@ def passage_embeddings(
     if not rows:
         raise ValueError("no passages to embed: the corpus has none, or the corruptor "
                          "deleted every transcript")
-    return ids, np.stack(rows), contexts
+    return ids, np.stack(rows), texts
 
 
 def _retrieve(
@@ -390,13 +387,13 @@ def _retrieve(
     corruption: CorruptionConfig | None,
     snr_db: float | None,
     noise_seed: int,
-) -> tuple[dict[str, str], Iterator[tuple[str, Query, tuple[list[str], list[float]]]]]:
-    """The retrieval loop of every pipeline: embed the passages under the
-    mode, index them once, and search each query's text embedding to depth
-    k. Returns each passage's context string and an iterator that searches
-    lazily, yielding one (query key, query, (ids, scores)) per query in
-    corpus order, so a caller holds only the results it keeps."""
-    ids, matrix, contexts = passage_embeddings(
+) -> tuple[dict[str, str] | None, Iterator[tuple[str, Query, tuple[list[str], list[float]]]]]:
+    """The retrieval loop of every pipeline: embed the passages as the
+    mode's retriever does, index them once, and search each query's text
+    embedding to depth k. Returns passage_embeddings' texts and an iterator
+    that searches lazily, yielding one (query key, query, (ids, scores)) per
+    query in corpus order, so a caller holds only the results it keeps."""
+    ids, matrix, texts = passage_embeddings(
         corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
     )
     idx = build_index(ids, matrix)
@@ -404,7 +401,7 @@ def _retrieve(
         (f"q{qi:04d}", q, search(idx, model.embed_text(q.text), k))
         for qi, q in enumerate(corpus.queries)
     )
-    return contexts, hits
+    return texts, hits
 
 
 def run_pipeline(
@@ -418,16 +415,22 @@ def run_pipeline(
     concurrency: int = 1,
 ) -> Iterator[dict]:
     """Retrieve top-k for every query over clean passage audio, build
-    per-mode contexts, call the generator, and return an iterator over one
-    trace row per query, in query order: the row that traces_<mode>.jsonl
-    holds. The passages are embedded and indexed before it returns; each
-    query is searched and generated for as its row is taken. A generator
-    maps a GenerationRequest to its answer string; an exception it raises
-    is recorded in the row's `error` (with an empty `answer`) and the run
+    per-mode contexts (a passage's audio reference for speech_rag, its
+    transcript for semi_cascaded, its embedded text for a text retriever),
+    call the generator, and return an iterator over one trace row per
+    query, in query order: the row that traces_<mode>.jsonl holds. The
+    passages are embedded and indexed before it returns; each query is
+    searched and generated for as its row is taken. A generator maps a
+    GenerationRequest to its answer string; an exception it raises is
+    recorded in the row's `error` (with an empty `answer`) and the run
     continues. With concurrency > 1, that many threads call the generator,
     and every query is searched and submitted when the first row is taken."""
     generator = generator if generator is not None else OracleGenerator(corpus)
     context_by_id, hits = _retrieve(corpus, mode, model, k, corruption, None, 0)
+    if mode is PipelineMode.SPEECH_RAG:
+        context_by_id = {p.id: audio_reference(p) for p in corpus.passages}
+    elif mode is PipelineMode.SEMI_CASCADED:
+        context_by_id = {p.id: p.transcript for p in corpus.passages}
 
     def generate(hit) -> dict:
         key, q, (ids, _) = hit
@@ -486,7 +489,7 @@ def retrieval_run(
     retrieval_<mode>.jsonl holds, goes to `sink` in query order; with no
     sink no row is made. Only each query's relevant rank is kept."""
     k_values = sorted(k_values)
-    contexts, hits = _retrieve(
+    texts, hits = _retrieve(
         corpus, mode, model, max(k_values), corruption, snr_db, noise_seed
     )
     ranks = []
@@ -506,7 +509,7 @@ def retrieval_run(
     recalls = {k: recall_from_ranks(ranks, k) for k in k_values}
     passage_wer = None
     if mode is PipelineMode.FULLY_CASCADED:
-        passage_wer = corpus_wer((p.transcript, contexts[p.id]) for p in corpus.passages)
+        passage_wer = corpus_wer((p.transcript, texts[p.id]) for p in corpus.passages)
     elif mode is PipelineMode.GT_TEXT:
         passage_wer = 0.0
     return RetrievalReport(recalls=recalls, passage_wer=passage_wer)

@@ -27,6 +27,8 @@ from speechrag.ragpipe import (
     DEFAULT_INSTRUCTION,
     GenerationRequest,
     MockJudge,
+    PipelineMode,
+    audio_reference,
     exact_match,
     passage_embeddings,
 )
@@ -300,7 +302,7 @@ def reference_train(train_corpus, val_corpus, config, model):
 
 
 def _listed_hits(corpus, mode, model, k, corruption, snr_db=None, noise_seed=0):
-    ids, matrix, contexts = passage_embeddings(
+    ids, matrix, texts = passage_embeddings(
         corpus, mode, model, corruption=corruption, snr_db=snr_db, noise_seed=noise_seed
     )
     index = build(ids, matrix)
@@ -308,7 +310,7 @@ def _listed_hits(corpus, mode, model, k, corruption, snr_db=None, noise_seed=0):
         (f"q{qi:04d}", q, search(index, model.embed_text(q.text), k))
         for qi, q in enumerate(corpus.queries)
     ]
-    return contexts, hits
+    return texts, hits
 
 
 def listed_retrieval_rows(corpus, mode, model, k, corruption=None, snr_db=None, noise_seed=0):
@@ -333,10 +335,16 @@ def listed_traces(corpus, mode, model, k, generator, corruption=None,
                   instruction=DEFAULT_INSTRUCTION):
     """Every row of traces_<mode>.jsonl, one generator call per query in
     query order, built as one list."""
-    contexts, hits = _listed_hits(corpus, mode, model, k, corruption)
+    texts, hits = _listed_hits(corpus, mode, model, k, corruption)
     traces = []
     for key, q, (ranked, _) in hits:
-        ctx = [contexts[pid] for pid in ranked]
+        passages = [corpus.passage(pid) for pid in ranked]
+        if mode is PipelineMode.SPEECH_RAG:
+            ctx = [audio_reference(p) for p in passages]
+        elif mode is PipelineMode.SEMI_CASCADED:
+            ctx = [p.transcript for p in passages]
+        else:
+            ctx = [texts[p.id] for p in passages]
         try:
             answer = generator(
                 GenerationRequest(query=q.text, contexts=tuple(ctx), instruction=instruction)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import re
@@ -488,9 +489,8 @@ def write_index(config, mode: str) -> None:
 
 
 @pytest.mark.parametrize("argv", [
-    *((command, "--mode", mode)
-      for command in ("search", "embed", "eval-retrieval", "eval-generation")
-      for mode in ("speech", "semi_cascaded")),
+    *((command, "--mode", "speech") for command in ("search", "embed", "eval-retrieval")),
+    *(("eval-generation", "--mode", mode) for mode in ("speech", "semi_cascaded")),
     ("noise-sweep",),
 ], ids=lambda argv: "-".join(argv[::2]))
 def test_audio_mode_without_checkpoint_is_runtime_error(workspace, capsys, argv):
@@ -940,6 +940,41 @@ def test_rejected_mode_or_flag_is_usage_error(workspace, capsys, argv, message):
     assert not (root / "artifacts").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("embed", "--mode", "semi_cascaded"),
+    ("index", "--mode", "semi_cascaded"),
+    ("search", "--mode", "semi_cascaded", "--query", "q"),
+    ("eval-retrieval", "--mode", "semi_cascaded"),
+    ("eval-retrieval", "--mode", "speech,semi_cascaded"),
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_retrieval_command_refuses_a_pipeline_that_is_no_retriever(workspace, capsys, argv):
+    """semi_cascaded retrieves as speech_rag: the retrieval commands send
+    the user there, as a usage error that writes nothing."""
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    before = reports(root)
+    capsys.readouterr()
+    assert run(*argv, "--config", config) == 1
+    assert ("error: argument --mode: semi_cascaded is not a retriever: use speech_rag"
+            in capsys.readouterr().err)
+    assert reports(root) == before
+    assert not (root / "artifacts").exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "index", "search", "eval-retrieval"])
+def test_retrieval_commands_take_the_five_retriever_names(command):
+    (keywords,) = [kw for flag, kw in cli.FLAGS[command] if flag == "--mode"]
+    accepted = []
+    for name in sorted(cli.MODE_ALIASES):
+        try:
+            keywords["type"](name)
+            accepted.append(name)
+        except argparse.ArgumentTypeError:
+            pass
+    assert accepted == ["cascaded", "fully_cascaded", "gt_text", "speech", "speech_rag"]
+    assert str(accepted) in keywords["help"]
+
+
 @pytest.mark.parametrize(
     "argv, dest, value",
     [(("embed", "--snr-db", "-5"), "snr_db", -5.0),
@@ -957,8 +992,8 @@ def test_negative_flag_value_parses(argv, dest, value):
 
 
 def test_eval_retrieval_modes_parse_in_order():
-    modes = cli.parse_args(["eval-retrieval", "--mode", "gt_text, cascaded,semi_cascaded"]).mode
-    assert [m.value for m in modes] == ["gt_text", "fully_cascaded", "semi_cascaded"]
+    modes = cli.parse_args(["eval-retrieval", "--mode", "gt_text, cascaded,speech"]).mode
+    assert [m.value for m in modes] == ["gt_text", "fully_cascaded", "speech_rag"]
     assert [m.value for m in cli.parse_args(["eval-retrieval"]).mode] == ["speech_rag"]
     assert cli.parse_args(["embed"]).mode.value == "speech_rag"
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import struct
+import sys
 import tempfile
 import wave
 
@@ -17,6 +18,7 @@ from speechrag.corpus import (
     Codebook,
     Corpus,
     ManifestError,
+    _WORD_CHAR,
     _decode_line,
     Passage,
     Query,
@@ -28,6 +30,7 @@ from speechrag.corpus import (
     synth_corpus,
 )
 from speechrag.dsp import _PCM_HEADER, AudioSignal, _walk_riff, _wav_header, read_wav, write_wav
+from speechrag.encoder import words as split_words
 
 from oracles import corpus_equal, eager_synth_audio, write_wav_with_wave_module
 
@@ -465,6 +468,11 @@ NON_STRING_FIELDS = [
         ({"kind": "query", "text": "t", "answer": 7, "passage_id": None},
          "line 2: query 't' answer must be a string, got 7"),
         *NON_STRING_FIELDS,
+        # A transcript in which the tokenizer finds no word.
+        ({"kind": "passage", "id": "p2", "audio": "audio/a.wav", "transcript": "!!!"},
+         "line 2: passage 'p2' has no words in transcript '!!!'"),
+        ({"kind": "passage", "id": "p2", "audio": "audio/a.wav", "transcript": " é-漢 "},
+         "line 2: passage 'p2' has no words in transcript ' é-漢 '"),
     ],
 )
 def test_record_errors_name_line_and_field(tmp_path, record, message):
@@ -556,11 +564,13 @@ def test_sample_rate_mismatch_rejected(tmp_path):
 # "/" and no control character.
 ID_TEXT = st.text(alphabet="ab \"'\\é漢😀\u2028", min_size=1, max_size=6)
 FIELD_TEXT = st.text(alphabet="ab \"'\\/é漢😀\u2028\n\r\t\x00\x1f", min_size=1, max_size=12)
+# A transcript must hold a word.
+TRANSCRIPT_TEXT = FIELD_TEXT.filter(split_words)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    passages=st.lists(st.tuples(ID_TEXT, FIELD_TEXT), min_size=1, max_size=3,
+    passages=st.lists(st.tuples(ID_TEXT, TRANSCRIPT_TEXT), min_size=1, max_size=3,
                       unique_by=lambda p: p[0]),
     queries=st.lists(st.tuples(FIELD_TEXT, FIELD_TEXT, st.integers(0, 2)), max_size=3),
 )
@@ -816,6 +826,9 @@ _P0 = _VALID.passages[0]
                  id="unique-ids"),
     pytest.param({"passages": (dataclasses.replace(_P0, transcript=""),) + _VALID.passages[1:]},
                  "passage p0: empty transcript", id="transcript"),
+    pytest.param({"passages": (dataclasses.replace(_P0, transcript="?! ..."),)
+                  + _VALID.passages[1:]},
+                 "passage p0: no words in transcript '?! ...'", id="wordless-transcript"),
     pytest.param({"codebook": None}, "passage p0: no file reference and no codebook",
                  id="audio-source"),
     pytest.param({"passages": (dataclasses.replace(_P0, transcript="word0 zu"),)
@@ -831,6 +844,28 @@ def test_each_corpus_rule_raises_at_construction(fields, message):
     with pytest.raises(ValueError) as replaced:
         dataclasses.replace(_VALID, **fields)
     assert str(made.value) == str(replaced.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(min_size=1, max_size=8))
+@example(text="!!!")
+@example(text="\u212a")  # the Kelvin sign, which lowercases to "k"
+@example(text="\u0130")  # dotted capital I, which lowercases to "i" and a combining dot
+@example(text="\u00b2")  # superscript two, which is no [0-9] digit
+def test_a_transcript_is_refused_exactly_when_the_tokenizer_finds_no_word(text):
+    try:
+        Corpus(passages=(Passage("p", text, "a.wav"),), queries=())
+        refused = False
+    except ValueError as exc:
+        assert str(exc) == f"passage p: no words in transcript {text!r}"
+        refused = True
+    assert refused == (not split_words(text))
+
+
+def test_word_characters_are_those_the_tokenizer_finds_once_lowered():
+    # Every code point: the manifest check searches the transcript itself.
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(_WORD_CHAR.findall(chars)) == {c for c in chars if split_words(c)}
 
 
 def test_split_of_a_valid_corpus_returns_valid_parts():

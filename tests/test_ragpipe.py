@@ -18,6 +18,7 @@ from speechrag.ragpipe import (
     OracleGenerator,
     PipelineMode,
     _levenshtein,
+    audio_reference,
     corpus_wer,
     corrupt_transcript,
     eval_generation,
@@ -365,14 +366,18 @@ def test_fully_cascaded_oracle_em_counts_retrieved_unchanged_transcripts(target_
 def test_passage_embeddings_rows_follow_corpus_order(pipe_corpus, pipe_model, mode):
     # Reversed, so that corpus order is not id order.
     corpus = dataclasses.replace(pipe_corpus, passages=pipe_corpus.passages[::-1])
-    ids, matrix, contexts = passage_embeddings(corpus, mode, pipe_model)
+    ids, matrix, texts = passage_embeddings(corpus, mode, pipe_model)
     assert ids == [p.id for p in corpus.passages] != sorted(ids)
     assert matrix.shape == (len(ids), pipe_model.backbone.hidden_dim)
     for p, row in zip(corpus.passages, matrix):
         want = (pipe_model.embed_text(p.transcript) if mode is PipelineMode.GT_TEXT
                 else pipe_model.embed_speech(corpus.load_audio(p)))
         assert np.array_equal(row, want)
-    assert list(contexts) == ids
+    # A text retriever returns the text it embedded each passage from; speech returns none.
+    if mode is PipelineMode.GT_TEXT:
+        assert list(texts.items()) == [(p.id, p.transcript) for p in corpus.passages]
+    else:
+        assert texts is None
 
 
 def test_passage_embeddings_of_an_empty_corpus_rejected(pipe_corpus, pipe_model):
@@ -384,12 +389,21 @@ def test_passage_embeddings_of_an_empty_corpus_rejected(pipe_corpus, pipe_model)
 def test_speech_and_semi_cascaded_share_rankings(pipe_corpus, pipe_model):
     speech = list(run_pipeline(pipe_corpus, PipelineMode.SPEECH_RAG, pipe_model, k=4))
     semi = list(run_pipeline(pipe_corpus, PipelineMode.SEMI_CASCADED, pipe_model, k=4))
+    assert len(speech) == len(semi) == len(pipe_corpus.queries)
     for a, b in zip(speech, semi):
         assert a["retrieved_ids"] == b["retrieved_ids"]
-    # Contexts differ: audio references vs ground-truth transcripts.
+        # Contexts differ: audio references vs the retrieved passages' transcripts.
+        passages = [pipe_corpus.passage(pid) for pid in b["retrieved_ids"]]
+        assert a["contexts"] == [audio_reference(p) for p in passages]
+        assert b["contexts"] == [p.transcript for p in passages]
     assert any(a["contexts"] != b["contexts"] for a, b in zip(speech, semi))
-    transcripts = {p.transcript for p in pipe_corpus.passages}
-    assert all(ctx in transcripts for trace in semi for ctx in trace["contexts"])
+
+
+def test_each_pipeline_names_its_retriever():
+    assert {m.value: m.retriever.value for m in PipelineMode} == {
+        "speech_rag": "speech_rag", "fully_cascaded": "fully_cascaded",
+        "semi_cascaded": "speech_rag", "gt_text": "gt_text",
+    }
 
 
 def _with_deletable_passage(seed):
@@ -416,15 +430,15 @@ def test_fully_deleted_transcript_fallback_ranks_last(hidden_dim):
         corpus, cfg = _with_deletable_passage(seed)
         model = build_model(Vocab.from_words(corpus_words(corpus)), hidden_dim=hidden_dim, seed=seed)
         mode, n = PipelineMode.FULLY_CASCADED, len(corpus.passages)
-        ids, matrix, contexts = passage_embeddings(corpus, mode, model, corruption=cfg)
+        ids, matrix, texts = passage_embeddings(corpus, mode, model, corruption=cfg)
         assert ids == [p.id for p in corpus.passages[:-1]] and len(matrix) == n - 1
-        assert list(contexts) == [p.id for p in corpus.passages] and contexts["deleted"] == ""
+        assert list(texts) == [p.id for p in corpus.passages] and texts["deleted"] == ""
         rows = []
         report = retrieval_run(corpus, mode, model, k_values=(n,), corruption=cfg, sink=rows.append)
         assert all(len(r["ranked_ids"]) == n - 1 and "deleted" not in r["ranked_ids"] for r in rows)
         assert rows[-1]["relevant_rank"] is None
         assert report.recalls[n] == (n - 1) / n
-        assert report.passage_wer == corpus_wer((p.transcript, contexts[p.id])
+        assert report.passage_wer == corpus_wer((p.transcript, texts[p.id])
                                                 for p in corpus.passages)
         traces = list(run_pipeline(corpus, mode, model, k=n, corruption=cfg))
         assert all("deleted" not in t["retrieved_ids"] for t in traces)
