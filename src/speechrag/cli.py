@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -147,9 +148,17 @@ def _write_meta(config: RunConfig, args) -> None:
     snr_db = getattr(args, "snr_db", None)
     if snr_db is not None:
         meta["snr_db"] = snr_db if math.isfinite(snr_db) else str(snr_db)
+    data = (json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
     out = config.path(config.report_dir) / f"{command}.meta.json"
-    with files.replacing(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    # A rerun with the same inputs (each benchmark search) leaves the record,
+    # its inode and its mtime as they are.
+    try:
+        if out.read_bytes() == data:
+            return
+    except OSError:  # missing or unreadable: replacing says what is wrong
+        pass
+    with files.replacing(out) as fh:
+        fh.write(data)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -511,9 +520,16 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# One parser per subcommand a process runs, and one for every other command
+# line: argparse keeps no state between parses, and building a parser takes
+# about 1 ms, which a process running many commands would pay on each.
+_parser = functools.cache(build_parser)
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse a command line; --help, --version and usage errors raise SystemExit."""
-    return build_parser(argv[0] if argv else None).parse_args(_join_negative_values(argv))
+    command = argv[0] if argv and argv[0] in FLAGS else None
+    return _parser(command).parse_args(_join_negative_values(argv))
 
 
 def main(argv=None) -> int:

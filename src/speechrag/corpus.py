@@ -41,6 +41,11 @@ _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
 
+def _has_words(text: str) -> bool:
+    """bool(encoder.words(text)), mostly without the regex."""
+    return text[:1] in _WORD_CHARS or _WORD_CHAR.search(text) is not None
+
+
 class ManifestError(ValueError):
     """Malformed manifest content; message carries the offending line number."""
 
@@ -103,7 +108,7 @@ class Corpus:
             dup = next(p.id for p in self.passages if p.id in seen or seen.add(p.id))
             raise ValueError(f"duplicate passage id {dup!r}")
         for p in self.passages:
-            if p.transcript[:1] not in _WORD_CHARS and not _WORD_CHAR.search(p.transcript):
+            if not _has_words(p.transcript):
                 raise ValueError(f"passage {p.id}: no words in transcript {p.transcript!r}"
                                  if p.transcript else f"passage {p.id}: empty transcript")
             if p.audio_path is None:
@@ -113,6 +118,10 @@ class Corpus:
                 if missing:
                     raise ValueError(f"passage {p.id}: word {missing[0]!r} is not in the codebook")
         for q in self.queries:
+            if not _has_words(q.text):
+                raise ValueError(f"query {q.text!r}: no words in text")
+            if not _has_words(q.gold_answer):
+                raise ValueError(f"query {q.text!r}: no words in answer {q.gold_answer!r}")
             if q.relevant_passage_id not in by_id:
                 raise ValueError(
                     f"query {q.text!r}: dangling relevant_passage_id {q.relevant_passage_id!r}"
@@ -183,7 +192,7 @@ def load_manifest(path) -> Corpus:
                 kind = record["kind"]
                 if kind == "passage":
                     pid, audio, transcript = _record_fields(record, kind)
-                    if transcript[:1] not in _WORD_CHARS and not _WORD_CHAR.search(transcript):
+                    if not _has_words(transcript):
                         raise ValueError(f"passage {pid!r} has no words in transcript {transcript!r}"
                                          if transcript else f"passage {pid!r} has empty transcript")
                     # Header-only read: samples stay lazy, but rate and duration are checked now.
@@ -212,7 +221,12 @@ def load_manifest(path) -> Corpus:
                         )
                     passages.append(Passage(pid, transcript, audio))
                 elif kind == "query":
-                    queries.append(Query(*_record_fields(record, kind)))
+                    text, answer, pid = _record_fields(record, kind)
+                    if not _has_words(text):
+                        raise ValueError(f"query text {text!r} has no words")
+                    if not _has_words(answer):
+                        raise ValueError(f"query {text!r} has no words in answer {answer!r}")
+                    queries.append(Query(text, answer, pid))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except ValueError as exc:

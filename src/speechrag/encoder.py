@@ -9,7 +9,8 @@ arithmetic, because a mean commutes with an affine map; it runs that layer
 on a quarter of the rows at the default factor of 4.
 
 The backbone is a small fixed-seed residual mixer. It is frozen: training
-never writes to it, and it is regenerated bit-exactly from its seed.
+never writes to it, and it is regenerated bit-exactly from its seed, once
+per process for each shape, seed and dtype, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import hashlib
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,7 +119,16 @@ def make_backbone(
 
     The draw order (token embedding, then per-layer w_in and w_out) is part
     of the checkpoint contract: checkpoints store only the seed and dims.
+    The last eight (vocab size, width, layers, seed, dtype) keys are kept,
+    so a process generates each once, and every call with it shares the
+    same read-only arrays.
     """
+    return _backbone(vocab_size, hidden_dim, n_layers, seed, np.dtype(dtype))
+
+
+@lru_cache(maxsize=8)
+def _backbone(vocab_size: int, hidden_dim: int, n_layers: int, seed: int,
+              dtype: np.dtype) -> BackboneParams:
     rng = np.random.default_rng([seed, 10])
     common = rng.normal(0.0, 1.0, hidden_dim)
     common *= TOKEN_EMBED_COMMON / np.linalg.norm(common)
@@ -135,9 +145,14 @@ def make_backbone(
                 b_out=np.zeros(hidden_dim, dtype=dtype),
             )
         )
-    return BackboneParams(
+    params = BackboneParams(
         token_embedding=token_embedding.astype(dtype), layers=tuple(layers), seed=seed
     )
+    params.token_embedding.flags.writeable = False
+    for layer in params.layers:
+        for arr in vars(layer).values():
+            arr.flags.writeable = False
+    return params
 
 
 def make_speech_encoder(

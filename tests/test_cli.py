@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from speechrag import __version__, cli
+from speechrag import __version__, cli, encoder
 from speechrag.checkpoint import load_checkpoint, save_checkpoint
 from speechrag.cli import main
 from speechrag.config import RunConfig, load_config, read_section, resolved_hash
@@ -1005,3 +1005,105 @@ def test_manifest_with_non_string_audio_is_exit_two(workspace, capsys):
                    + "\n", encoding="utf-8")
     assert run("corrupt", "--config", config, "--manifest", str(bad)) == 2
     assert "line 1: passage 'p1' audio must be a string, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field, value, message", [
+    (("eval-retrieval", "--mode", "gt_text"), "text", "???", "query text '???' has no words"),
+    (("eval-generation", "--mode", "gt_text"), "answer", "...",
+     "has no words in answer '...'"),
+])
+def test_wordless_query_text_or_answer_is_exit_two_naming_its_line(
+        workspace, capsys, argv, field, value, message):
+    """The manifest load refuses it, so no command retrieves anything first."""
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    lines = (root / "corpus/manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if json.loads(line)["kind"] == "query")
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), field: value})
+    bad = root / "corpus/wordless.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = reports(root)
+    capsys.readouterr()
+    assert run(*argv, "--config", config, "--manifest", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert f"error: line {lineno}: " in err and message in err
+    assert reports(root) == before
+
+
+def _record(root, command: str):
+    path = root / f"reports/{command}.meta.json"
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns, path.read_bytes()
+
+
+def test_an_unchanged_metadata_record_is_left_in_place(workspace):
+    root, config = workspace
+    for cmd in ("synth", "split", "train", "embed", "index"):
+        assert run(cmd, "--config", config) == 0
+    search = ("search", "--config", config, "--query", "any words")
+    assert run(*search) == 0
+    first = _record(root, "search")
+    assert run(*search) == 0
+    assert _record(root, "search") == first
+    # Another seed is another record: replaced, as is a truncated one.
+    assert run(*search, "--seed", "8") == 0
+    reseeded = _record(root, "search")
+    assert reseeded[0] != first[0] and reseeded[2] != first[2]
+    assert json.loads(reseeded[2])["seed"] == 8
+    path = root / "reports/search.meta.json"
+    path.write_bytes(reseeded[2][:-10])
+    assert run(*search, "--seed", "8") == 0
+    assert path.read_bytes() == reseeded[2]
+
+
+def test_a_changed_snr_db_replaces_the_metadata_record(workspace):
+    root, config = workspace
+    assert run("synth", "--config", config) == 0
+    embed = ("embed", "--config", config, "--mode", "gt_text")
+    assert run(*embed, "--snr-db", "10") == 0
+    first = _record(root, "embed")
+    assert run(*embed, "--snr-db", "10") == 0
+    assert _record(root, "embed") == first
+    assert run(*embed, "--snr-db", "5") == 0
+    changed = _record(root, "embed")
+    assert changed[0] != first[0] and json.loads(changed[2])["snr_db"] == 5.0
+    assert run(*embed) == 0
+    assert "snr_db" not in json.loads(_record(root, "embed")[2])
+
+
+def test_eval_retrieval_over_three_modes_generates_the_backbone_once(workspace):
+    root, config = workspace
+    for cmd in ("synth", "split", "train"):
+        assert run(cmd, "--config", config) == 0
+    encoder._backbone.cache_clear()
+    assert run("eval-retrieval", "--config", config, "--mode", "gt_text,speech,cascaded") == 0
+    info = encoder._backbone.cache_info()
+    assert info.misses == 1 and info.hits == 2
+
+
+def _minimal_and_full_argv(command: str) -> tuple[list[str], list[str]]:
+    minimal = [command, "--query", "q"] if command == "search" else [command]
+    full = minimal + ["--config", "c.json", "--seed", "3", "--data-dir", "d"]
+    if any(flag == "--snr-db" for flag, _ in cli.FLAGS[command]):
+        full += ["--snr-db", "-5"]
+    return minimal, full
+
+
+@pytest.mark.parametrize("command", list(cli.FLAGS))
+def test_a_reused_parser_parses_each_command_line_as_a_fresh_one(capsys, command):
+    """The parser a process keeps for a subcommand carries nothing from one
+    command line to the next: no --snr-db or --seed leaks into a call
+    without it, and a usage error still exits 1 with the usage line."""
+    minimal, full = _minimal_and_full_argv(command)
+    for argv in (full, minimal, full):
+        assert cli.parse_args(argv) == cli.build_parser(command).parse_args(argv)
+    assert cli.parse_args(minimal).seed is None
+    assert cli._parser(command) is cli._parser(command)
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser(command).parse_args([*minimal, "--bogus"])
+    assert fresh.value.code == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith("usage: speechrag ") and "unrecognized arguments: --bogus" in expected
+    assert run(*minimal, "--bogus") == 1
+    assert capsys.readouterr().err == expected
+    assert cli.parse_args(full) == cli.build_parser(command).parse_args(full)

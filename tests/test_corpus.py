@@ -473,6 +473,15 @@ NON_STRING_FIELDS = [
          "line 2: passage 'p2' has no words in transcript '!!!'"),
         ({"kind": "passage", "id": "p2", "audio": "audio/a.wav", "transcript": " é-漢 "},
          "line 2: passage 'p2' has no words in transcript ' é-漢 '"),
+        # A query whose text or gold answer the tokenizer finds no word in.
+        ({"kind": "query", "text": "???", "answer": "a", "passage_id": "p1"},
+         "line 2: query text '???' has no words"),
+        ({"kind": "query", "text": "", "answer": "a", "passage_id": "p1"},
+         "line 2: query text '' has no words"),
+        ({"kind": "query", "text": "t", "answer": "...", "passage_id": "p1"},
+         "line 2: query 't' has no words in answer '...'"),
+        ({"kind": "query", "text": "t", "answer": "", "passage_id": "p1"},
+         "line 2: query 't' has no words in answer ''"),
     ],
 )
 def test_record_errors_name_line_and_field(tmp_path, record, message):
@@ -564,15 +573,15 @@ def test_sample_rate_mismatch_rejected(tmp_path):
 # "/" and no control character.
 ID_TEXT = st.text(alphabet="ab \"'\\é漢😀\u2028", min_size=1, max_size=6)
 FIELD_TEXT = st.text(alphabet="ab \"'\\/é漢😀\u2028\n\r\t\x00\x1f", min_size=1, max_size=12)
-# A transcript must hold a word.
-TRANSCRIPT_TEXT = FIELD_TEXT.filter(split_words)
+# A transcript, a query's text and its answer must each hold a word.
+WORDED_TEXT = FIELD_TEXT.filter(split_words)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    passages=st.lists(st.tuples(ID_TEXT, TRANSCRIPT_TEXT), min_size=1, max_size=3,
+    passages=st.lists(st.tuples(ID_TEXT, WORDED_TEXT), min_size=1, max_size=3,
                       unique_by=lambda p: p[0]),
-    queries=st.lists(st.tuples(FIELD_TEXT, FIELD_TEXT, st.integers(0, 2)), max_size=3),
+    queries=st.lists(st.tuples(WORDED_TEXT, WORDED_TEXT, st.integers(0, 2)), max_size=3),
 )
 def test_manifest_text_round_trips_through_save_and_load(passages, queries):
     with tempfile.TemporaryDirectory() as tmp:
@@ -836,6 +845,10 @@ _P0 = _VALID.passages[0]
                  "passage p0: word 'zu' is not in the codebook", id="codebook-words"),
     pytest.param({"queries": (Query("q", "a", "p9"),)},
                  "query 'q': dangling relevant_passage_id 'p9'", id="dangling-query"),
+    pytest.param({"queries": (Query("???", "a", "p0"),)},
+                 "query '???': no words in text", id="wordless-query"),
+    pytest.param({"queries": (Query("q", "...", "p0"),)},
+                 "query 'q': no words in answer '...'", id="wordless-answer"),
 ])
 def test_each_corpus_rule_raises_at_construction(fields, message):
     values = {f.name: getattr(_VALID, f.name) for f in dataclasses.fields(_VALID)}
@@ -858,6 +871,23 @@ def test_a_transcript_is_refused_exactly_when_the_tokenizer_finds_no_word(text):
         refused = False
     except ValueError as exc:
         assert str(exc) == f"passage p: no words in transcript {text!r}"
+        refused = True
+    assert refused == (not split_words(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(max_size=8), field=st.sampled_from(["text", "gold_answer"]))
+@example(text="...", field="gold_answer")
+@example(text="\u212a", field="text")
+def test_a_query_is_refused_exactly_when_its_text_or_answer_has_no_word(text, field):
+    query = dataclasses.replace(Query("q", "a", "p"), **{field: text})
+    try:
+        Corpus(passages=(Passage("p", "x", "a.wav"),), queries=(query,))
+        refused = False
+    except ValueError as exc:
+        expected = ("no words in text" if field == "text"
+                    else f"no words in answer {text!r}")
+        assert str(exc) == f"query {query.text!r}: {expected}"
         refused = True
     assert refused == (not split_words(text))
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speechrag import encoder
 from speechrag.adapter import make_adapter
 from speechrag.checkpoint import load_checkpoint
 from speechrag.corpus import SynthParams, synth_corpus
@@ -142,6 +143,32 @@ def test_backbone_regenerable_bit_exactly():
     assert backbone_checksum(a) == backbone_checksum(b)
     c = make_backbone(vocab_size=11, hidden_dim=16, n_layers=2, seed=100)
     assert backbone_checksum(a) != backbone_checksum(c)
+
+
+def _arrays(backbone: BackboneParams) -> list[np.ndarray]:
+    return [backbone.token_embedding] + [arr for layer in backbone.layers
+                                         for arr in vars(layer).values()]
+
+
+@pytest.mark.parametrize("key", [(11, 16, 2, 99, np.float32), (11, 16, 2, 99, np.float64),
+                                 (5, 8, 0, 3, np.float32), (40, 64, 2, 7, np.float32),
+                                 (3, 8, 3, 0, np.float64)])
+def test_shared_backbone_equals_a_fresh_generation_and_refuses_writes(key):
+    """make_backbone generates each key once per process; what every call
+    then shares is bit for bit what an uncached generation draws, and no
+    caller can write to it."""
+    shared = make_backbone(*key)
+    assert make_backbone(*key) is shared
+    assert make_backbone(*key[:4], dtype=np.dtype(key[4])) is shared
+    fresh = encoder._backbone.__wrapped__(*key[:4], np.dtype(key[4]))
+    assert shared.seed == fresh.seed
+    assert len(shared.layers) == len(fresh.layers) == key[2]
+    for got, want in zip(_arrays(shared), _arrays(fresh), strict=True):
+        assert got.dtype == want.dtype == key[4]
+        assert got.tobytes() == want.tobytes()
+    for arr in _arrays(shared):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 # ---------------------------------------------------------------------------
